@@ -1,9 +1,10 @@
 /**
  * @file
- * Microbenchmarks of the hot kernels: log-domain products, CVG block
- * merging, bitmask extraction, quantised matmul and the dense GEMM
- * backends. Not a paper artefact; standard performance tracking for
- * the library itself.
+ * Microbenchmarks of the hot kernels: log-domain products, eager
+ * prediction at EP's per-head shapes, CVG block merging, bitmask
+ * extraction, quantised matmul and the dense GEMM backends. Not a
+ * paper artefact; standard performance tracking for the library
+ * itself.
  *
  * Two build modes:
  *  - With Google Benchmark (EXION_HAVE_GBENCH): the usual
@@ -28,6 +29,7 @@
 
 #include "exion/accel/functional_device.h"
 #include "exion/common/rng.h"
+#include "exion/sparsity/eager_prediction.h"
 #include "exion/sparsity/log_domain.h"
 #include "exion/sparsity/mask_synth.h"
 #include "exion/tensor/gemm.h"
@@ -58,6 +60,35 @@ constexpr GemmShape kTallShapes[] = {
     {"ffn1_64x256x1024", 64, 256, 1024},
     {"ffn2_64x1024x256", 64, 1024, 256},
 };
+
+/**
+ * Eager prediction's real per-head shapes (tokens x d_model x d_head,
+ * as m x k x n): the reduced StableDiffusion 128-token stage, whose
+ * d_head of 12 sits below every vector width, and full-scale MLD.
+ */
+constexpr GemmShape kEpShapes[] = {
+    {"ep_predict_head/128x48x12", 128, 48, 12},
+    {"ep_predict_head/8x256x64", 8, 256, 64},
+};
+
+/** One head's INT12 predictHeadScore operands for an EP shape. */
+struct EpOperands
+{
+    QuantMatrix x, wq, wk;
+};
+
+EpOperands
+epOperands(const GemmShape &s)
+{
+    Rng rng(9);
+    Matrix x(s.m, s.k), wq(s.k, s.n), wk(s.k, s.n);
+    x.fillNormal(rng, 0.0f, 1.0f);
+    wq.fillNormal(rng, 0.0f, 0.2f);
+    wk.fillNormal(rng, 0.0f, 0.2f);
+    return {QuantMatrix::fromFloat(x, IntWidth::Int12),
+            QuantMatrix::fromFloat(wq, IntWidth::Int12),
+            QuantMatrix::fromFloat(wk, IntWidth::Int12)};
+}
 
 /** Keeps timed results observable without Google Benchmark's
     DoNotOptimize. */
@@ -173,6 +204,20 @@ BM_LdMatmul(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_LdMatmul)->Arg(32)->Arg(64);
+
+/** One head's eager prediction (TS-LOD) at EP's real shapes. */
+void
+BM_EpPredictHead(benchmark::State &state)
+{
+    const GemmShape &shape = kEpShapes[state.range(0)];
+    const EpOperands op = epOperands(shape);
+    for (auto _ : state) {
+        Matrix p = predictHeadScore(op.x, op.wq, op.wk, LodMode::TwoStep);
+        benchmark::DoNotOptimize(p.data().data());
+    }
+    state.SetLabel(shape.name);
+}
+BENCHMARK(BM_EpPredictHead)->Arg(0)->Arg(1);
 
 void
 BM_QuantMatmul(benchmark::State &state)
@@ -368,6 +413,15 @@ runFallbackSuite(int reps)
             for (int i = 0; i < 1024; ++i)
                 acc += ldProduct(a[i], b[i], LodMode::TwoStep);
             g_sink = g_sink + static_cast<float>(acc);
+        });
+    }
+
+    for (const GemmShape &s : kEpShapes) {
+        const EpOperands op = epOperands(s);
+        timeKernel(s.name, s.m * s.k * s.n, reps, [&] {
+            const Matrix p =
+                predictHeadScore(op.x, op.wq, op.wk, LodMode::TwoStep);
+            g_sink = g_sink + p(0, 0);
         });
     }
 

@@ -70,25 +70,27 @@ twoStepLeadingOne(u32 v)
     return out;
 }
 
-/** Value reconstructed from a single-step LOD approximation (0 -> 0). */
+/**
+ * Value reconstructed from a single-step LOD approximation (0 -> 0):
+ * 2^leadingOne(v), the isolated leading one. Branch-free — LOD
+ * inputs are data-random: v | 1 has v's leading one and is never
+ * zero, and masking with v maps 0 to 0.
+ */
 constexpr u32
 lodValue(u32 v)
 {
-    const int p = leadingOne(v);
-    return p == kNoLeadingOne ? 0 : (u32{1} << p);
+    return (u32{1} << (31 - std::countl_zero(v | 1))) & v;
 }
 
-/** Value reconstructed from a TS-LOD approximation (0 -> 0). */
+/**
+ * Value reconstructed from a TS-LOD approximation (0 -> 0):
+ * 2^first + 2^second, the two leading set bits of v.
+ */
 constexpr u32
 tsLodValue(u32 v)
 {
-    const TsLod t = twoStepLeadingOne(v);
-    u32 out = 0;
-    if (t.first != kNoLeadingOne)
-        out |= u32{1} << t.first;
-    if (t.second != kNoLeadingOne)
-        out |= u32{1} << t.second;
-    return out;
+    const u32 top = lodValue(v);
+    return top | lodValue(v ^ top);
 }
 
 /** Number of set bits in a 64-bit word. */

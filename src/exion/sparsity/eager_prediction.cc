@@ -109,21 +109,29 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
 
 Matrix
 predictHeadScore(const QuantMatrix &x_q12, const QuantMatrix &wq_head,
-                 const QuantMatrix &wk_head, LodMode mode,
-                 SimdTier simd)
+                 const QuantMatrix &wk_head, LodMode mode, SimdTier)
+{
+    return predictHeadScore(ldImage(x_q12, mode), wq_head, wk_head);
+}
+
+Matrix
+predictHeadScore(const LdImage &x_img, const QuantMatrix &wq_head,
+                 const QuantMatrix &wk_head)
 {
     EXION_ASSERT(wq_head.cols() == wk_head.cols(),
                  "head width mismatch");
+    const LodMode mode = x_img.mode;
     const Index dh = wq_head.cols();
 
     // LD projections produce float estimates; requantise for the
     // second-level LD MMUL, as the EPRE feeds its own outputs back.
-    const Matrix q_est = ldMatmul(x_q12, wq_head, mode, simd);
-    const Matrix k_est = ldMatmul(x_q12, wk_head, mode, simd);
+    const Matrix q_est = ldMatmul(x_img, ldImage(wq_head, mode));
+    const Matrix k_est = ldMatmul(x_img, ldImage(wk_head, mode));
     const QuantMatrix q12 = QuantMatrix::fromFloat(q_est, IntWidth::Int12);
     const QuantMatrix k12 = QuantMatrix::fromFloat(k_est, IntWidth::Int12);
 
-    Matrix scores = ldMatmulTransposed(q12, k12, mode, simd);
+    Matrix scores =
+        ldMatmul(ldImage(q12, mode), ldImage(k12, mode, true));
     const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
     for (Index i = 0; i < scores.size(); ++i)
         scores.data()[i] *= inv_sqrt;

@@ -81,11 +81,21 @@ HeadDecision decideFromPrediction(const Matrix &predicted,
  * @param wq_head head slice of the Q weight (d x d_head), quantised
  * @param wk_head head slice of the K weight (d x d_head), quantised
  * @param mode    LOD depth
+ * @param simd    accepted for call-site uniformity; the log-domain
+ *                GEMMs are exact, so every tier gives the same bits
  */
 Matrix predictHeadScore(const QuantMatrix &x_q12,
                         const QuantMatrix &wq_head,
                         const QuantMatrix &wk_head, LodMode mode,
                         SimdTier simd = defaultSimdTier());
+
+/**
+ * predictHeadScore on a prebuilt image of the block input, so a
+ * block builds x's image once for all its heads; the LOD depth is
+ * the image's.
+ */
+Matrix predictHeadScore(const LdImage &x_img, const QuantMatrix &wq_head,
+                        const QuantMatrix &wk_head);
 
 /** Combines per-head decisions into block-level projection needs. */
 ProjectionNeeds combineNeeds(const std::vector<HeadDecision> &heads,

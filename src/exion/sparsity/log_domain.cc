@@ -1,7 +1,7 @@
 #include "exion/sparsity/log_domain.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <vector>
 
 namespace exion
 {
@@ -44,65 +44,75 @@ ldProduct(i32 a, i32 b, LodMode mode)
     return negative ? -magnitude : magnitude;
 }
 
-namespace
+LdImage
+ldImage(const QuantMatrix &q, LodMode mode, bool transposed)
 {
-
-/** ldDot kernel of a tier's table for the given LOD depth. */
-i64 (*ldDotKernel(LodMode mode, SimdTier simd))(const i32 *,
-                                                const i32 *, Index)
-{
-    const SimdKernels &kr = simdKernels(simd);
-    return mode == LodMode::Single ? kr.ldDotSingle : kr.ldDotTwoStep;
+    EXION_ASSERT(q.params().width != IntWidth::Int32,
+                 "log-domain operands must be at most Int16 wide");
+    LdImage img;
+    img.rows = transposed ? q.cols() : q.rows();
+    img.cols = transposed ? q.rows() : q.cols();
+    img.mode = mode;
+    img.scale = q.scale();
+    img.values.resize(q.size());
+    for (Index r = 0; r < q.rows(); ++r) {
+        const i32 *row = q.rowPtr(r);
+        for (Index c = 0; c < q.cols(); ++c) {
+            const i32 v = row[c];
+            const u32 mag = static_cast<u32>(std::abs(static_cast<i64>(v)));
+            const i64 lod =
+                mode == LodMode::Single ? lodValue(mag) : tsLodValue(mag);
+            // Branch-free sign: operand signs are data-random.
+            const i64 sign = v >> 31; // 0 or -1
+            img.values[transposed ? c * q.rows() + r : r * q.cols() + c] =
+                static_cast<double>((lod ^ sign) - sign);
+        }
+    }
+    return img;
 }
 
-} // namespace
+Matrix
+ldMatmul(const LdImage &a, const LdImage &b)
+{
+    EXION_ASSERT(a.cols == b.rows, "ldMatmul shape mismatch");
+    EXION_ASSERT(a.mode == b.mode, "ldMatmul LOD depth mismatch");
+    EXION_ASSERT(a.cols < (Index{1} << 22),
+                 "ldMatmul k too long for exact accumulation");
+    Matrix c(a.rows, b.cols);
+    const double out_scale = a.scale * b.scale;
+    const Index n = b.cols;
+    // One exact accumulator per output column; the j-sweep carries
+    // no dependency, so it vectorises at whatever width the build
+    // targets without changing a single bit of the sum.
+    std::vector<double> acc(n);
+    for (Index i = 0; i < a.rows; ++i) {
+        std::fill(acc.begin(), acc.end(), 0.0);
+        const double *arow = a.values.data() + i * a.cols;
+        for (Index k = 0; k < a.cols; ++k) {
+            const double aik = arow[k];
+            const double *brow = b.values.data() + k * n;
+            for (Index j = 0; j < n; ++j)
+                acc[j] += aik * brow[j];
+        }
+        float *crow = c.rowPtr(i);
+        for (Index j = 0; j < n; ++j)
+            crow[j] = static_cast<float>(acc[j] * out_scale);
+    }
+    return c;
+}
 
 Matrix
 ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
-         SimdTier simd)
+         SimdTier)
 {
-    EXION_ASSERT(a.cols() == b.rows(), "ldMatmul shape mismatch");
-    Matrix c(a.rows(), b.cols());
-    const double out_scale = a.scale() * b.scale();
-    const auto ld_dot = ldDotKernel(mode, simd);
-    const Index k_dim = a.cols();
-    const Index n = b.cols();
-    // The k-chain walks a column of B; transpose B's integer values
-    // once so the kernel streams both operands contiguously. The sum
-    // is integer — reordering nothing, copying everything — so this
-    // matches the ldProduct accumulation exactly.
-    std::vector<i32> bt(n * k_dim);
-    for (Index k = 0; k < k_dim; ++k) {
-        const i32 *brow = b.rowPtr(k);
-        for (Index j = 0; j < n; ++j)
-            bt[j * k_dim + k] = brow[j];
-    }
-    for (Index i = 0; i < a.rows(); ++i) {
-        const i32 *arow = a.rowPtr(i);
-        for (Index j = 0; j < n; ++j)
-            c(i, j) = static_cast<float>(
-                ld_dot(arow, bt.data() + j * k_dim, k_dim)
-                * out_scale);
-    }
-    return c;
+    return ldMatmul(ldImage(a, mode), ldImage(b, mode));
 }
 
 Matrix
 ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
-                   LodMode mode, SimdTier simd)
+                   LodMode mode, SimdTier)
 {
-    EXION_ASSERT(a.cols() == b.cols(), "ldMatmulT shape mismatch");
-    Matrix c(a.rows(), b.rows());
-    const double out_scale = a.scale() * b.scale();
-    const auto ld_dot = ldDotKernel(mode, simd);
-    const Index k_dim = a.cols();
-    for (Index i = 0; i < a.rows(); ++i) {
-        const i32 *arow = a.rowPtr(i);
-        for (Index j = 0; j < b.rows(); ++j)
-            c(i, j) = static_cast<float>(
-                ld_dot(arow, b.rowPtr(j), k_dim) * out_scale);
-    }
-    return c;
+    return ldMatmul(ldImage(a, mode), ldImage(b, mode, true));
 }
 
 Matrix

@@ -12,6 +12,8 @@
 #ifndef EXION_SPARSITY_LOG_DOMAIN_H_
 #define EXION_SPARSITY_LOG_DOMAIN_H_
 
+#include <vector>
+
 #include "exion/common/bitops.h"
 #include "exion/tensor/matrix.h"
 #include "exion/tensor/quant_matrix.h"
@@ -36,13 +38,50 @@ enum class LodMode
 i64 ldProduct(i32 a, i32 b, LodMode mode);
 
 /**
- * Log-domain A (m x k) * B (k x n), dequantised to float.
+ * Signed LOD image of a quantised operand: per element
+ * img(v) = sign(v) * lodValue(|v|) in Single mode and
+ * sign(v) * tsLodValue(|v|) in TwoStep mode.
  *
- * Every MAC uses ldProduct; accumulation is exact (the one-hot adder
- * tree merges one-hot addends losslessly). The MAC batches run
- * through the ldDot kernels of the requested SIMD tier — integer and
- * order-insensitive, so every tier is bit-identical to the scalar
- * ldProduct chain.
+ * The four TS-LOD cross terms (2^a1 + 2^a2)(2^b1 + 2^b2) are exactly
+ * tsLodValue(|a|) * tsLodValue(|b|), and 2^(pa+pb) is
+ * lodValue(|a|) * lodValue(|b|), so ldProduct(a, b, mode) ==
+ * img(a) * img(b): a log-domain matmul is a plain GEMM of images.
+ * Images are held as doubles, which represent them exactly.
+ */
+struct LdImage
+{
+    Index rows = 0;
+    Index cols = 0;
+    LodMode mode = LodMode::TwoStep;
+    double scale = 1.0;         //!< the source operand's scale
+    std::vector<double> values; //!< row-major, rows x cols
+};
+
+/**
+ * Builds the image of q (of q^T when transposed is set).
+ *
+ * @pre q's width is at most Int16: then |img| <= 2^15, every product
+ *      is below 2^31 and any partial sum of fewer than 2^22 of them
+ *      below 2^53, so the image GEMM is exact in any summation order.
+ */
+LdImage ldImage(const QuantMatrix &q, LodMode mode,
+                bool transposed = false);
+
+/**
+ * A (m x k) * B (k x n) of two images of the same LOD depth,
+ * dequantised to float.
+ *
+ * Accumulation is exact (the one-hot adder tree merges one-hot
+ * addends losslessly; here, integer-valued doubles below 2^53), so
+ * the result equals the ldProduct chain in every order and on every
+ * host, and no SIMD tier is involved.
+ */
+Matrix ldMatmul(const LdImage &a, const LdImage &b);
+
+/**
+ * Log-domain A (m x k) * B (k x n): the image GEMM of a and b. The
+ * SIMD tier is accepted for call-site uniformity only — the result is
+ * the same in every tier.
  */
 Matrix ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
                 SimdTier simd = defaultSimdTier());

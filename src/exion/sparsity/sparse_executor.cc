@@ -121,7 +121,8 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
         / std::sqrt(static_cast<float>(dh));
 
     // --- EPRE: predicted attention scores and skip decisions. ---
-    const QuantMatrix qx = QuantMatrix::fromFloat(x_norm, IntWidth::Int12);
+    const LdImage x_img = ldImage(
+        QuantMatrix::fromFloat(x_norm, IntWidth::Int12), lod_mode);
     std::vector<HeadDecision> decisions;
     decisions.reserve(n_heads);
     for (Index h = 0; h < n_heads; ++h) {
@@ -129,8 +130,7 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
             sliceCols(blk.wq().weight(), h * dh, dh), IntWidth::Int12);
         const QuantMatrix qwk = QuantMatrix::fromFloat(
             sliceCols(blk.wk().weight(), h * dh, dh), IntWidth::Int12);
-        Matrix predicted =
-            predictHeadScore(qx, qwq, qwk, lod_mode, simd);
+        Matrix predicted = predictHeadScore(x_img, qwq, qwk);
         for (Index i = 0; i < predicted.size(); ++i)
             predicted.data()[i] *=
                 static_cast<float>(blk.scoreTemp());

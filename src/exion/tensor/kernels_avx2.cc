@@ -5,10 +5,8 @@
  * Exactness discipline: float kernels vectorize across independent
  * output elements with separate _mm256_mul_ps / _mm256_add_ps (never
  * FMA — the golden chains round twice per term), ragged tails fall
- * back to the scalar reference chains, compares are ordered-quiet
- * (_CMP_*_OQ) so NaN lanes never set mask bits, and the log-domain
- * kernels compute each lane's term through the same reconstruction
- * identity as the scalar table (integer, exact in any order).
+ * back to the scalar reference chains, and compares are ordered-quiet
+ * (_CMP_*_OQ) so NaN lanes never set mask bits.
  *
  * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
  * it must only be *called* after the runtime probe confirmed AVX2.
@@ -131,86 +129,6 @@ dotI32Avx2(const i32 *a, const i32 *b, Index n)
     return total;
 }
 
-/** Per lane: all bits at or below the leading one set. */
-__m256i
-spreadBelowLeadingOne(__m256i v)
-{
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 1));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 2));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 4));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 8));
-    v = _mm256_or_si256(v, _mm256_srli_epi32(v, 16));
-    return v;
-}
-
-/** Per lane: lodValue(v) — the isolated leading one (0 for 0). */
-__m256i
-lodValueLanes(__m256i v)
-{
-    const __m256i spread = spreadBelowLeadingOne(v);
-    return _mm256_andnot_si256(_mm256_srli_epi32(spread, 1), spread);
-}
-
-/** Per lane: tsLodValue(v) — the two leading set bits. */
-__m256i
-tsLodValueLanes(__m256i v)
-{
-    const __m256i top = lodValueLanes(v);
-    const __m256i rest = _mm256_andnot_si256(top, v);
-    return _mm256_or_si256(top, lodValueLanes(rest));
-}
-
-/**
- * Shared LD dot body: reconstruct per-lane magnitudes with the given
- * per-lane LOD value function, multiply (products bound by the INT12
- * operand range, far inside 32 bits), apply the product sign, widen
- * to i64 and accumulate.
- */
-template <__m256i (*LodLanes)(__m256i)>
-i64
-ldDotAvx2(const i32 *a, const i32 *b, Index n, i64 (*tail)(const i32 *,
-                                                           const i32 *,
-                                                           Index))
-{
-    __m256i acc = _mm256_setzero_si256();
-    Index k = 0;
-    for (; k + 8 <= n; k += 8) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + k));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + k));
-        const __m256i la = LodLanes(_mm256_abs_epi32(va));
-        const __m256i lb = LodLanes(_mm256_abs_epi32(vb));
-        __m256i prod = _mm256_mullo_epi32(la, lb);
-        // sign(a*b): arithmetic-shift the XOR'd signs into a lane
-        // mask, then two's-complement negate the flagged lanes.
-        const __m256i sign =
-            _mm256_srai_epi32(_mm256_xor_si256(va, vb), 31);
-        prod = _mm256_sub_epi32(_mm256_xor_si256(prod, sign), sign);
-        acc = _mm256_add_epi64(
-            acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(prod)));
-        acc = _mm256_add_epi64(
-            acc,
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(prod, 1)));
-    }
-    i64 total = hsum64(acc);
-    if (k < n)
-        total += tail(a + k, b + k, n - k);
-    return total;
-}
-
-i64
-ldDotSingleAvx2(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotAvx2<lodValueLanes>(a, b, n, ldDotSingleScalar);
-}
-
-i64
-ldDotTwoStepAvx2(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotAvx2<tsLodValueLanes>(a, b, n, ldDotTwoStepScalar);
-}
-
 u64
 absGreaterMask64Avx2(const float *x, float theta, Index n)
 {
@@ -283,8 +201,6 @@ avx2Table()
         axpy4F32Avx2,
         dotF32Avx2,
         dotI32Avx2,
-        ldDotSingleAvx2,
-        ldDotTwoStepAvx2,
         absGreaterMask64Avx2,
         cmpGeMask64Avx2,
         popcountWordsAvx2,

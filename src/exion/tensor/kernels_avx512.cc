@@ -116,75 +116,6 @@ dotI32Avx512(const i32 *a, const i32 *b, Index n)
     return total;
 }
 
-/** Per lane: all bits at or below the leading one set. */
-__m512i
-spreadBelowLeadingOne(__m512i v)
-{
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 1));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 2));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 4));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 8));
-    v = _mm512_or_si512(v, _mm512_srli_epi32(v, 16));
-    return v;
-}
-
-/** Per lane: lodValue(v) — the isolated leading one (0 for 0). */
-__m512i
-lodValueLanes(__m512i v)
-{
-    const __m512i spread = spreadBelowLeadingOne(v);
-    return _mm512_andnot_si512(_mm512_srli_epi32(spread, 1), spread);
-}
-
-/** Per lane: tsLodValue(v) — the two leading set bits. */
-__m512i
-tsLodValueLanes(__m512i v)
-{
-    const __m512i top = lodValueLanes(v);
-    const __m512i rest = _mm512_andnot_si512(top, v);
-    return _mm512_or_si512(top, lodValueLanes(rest));
-}
-
-template <__m512i (*LodLanes)(__m512i)>
-i64
-ldDotAvx512(const i32 *a, const i32 *b, Index n,
-            i64 (*tail)(const i32 *, const i32 *, Index))
-{
-    __m512i acc = _mm512_setzero_si512();
-    Index k = 0;
-    for (; k + 16 <= n; k += 16) {
-        const __m512i va = _mm512_loadu_si512(a + k);
-        const __m512i vb = _mm512_loadu_si512(b + k);
-        const __m512i la = LodLanes(_mm512_abs_epi32(va));
-        const __m512i lb = LodLanes(_mm512_abs_epi32(vb));
-        __m512i prod = _mm512_mullo_epi32(la, lb);
-        const __m512i sign =
-            _mm512_srai_epi32(_mm512_xor_si512(va, vb), 31);
-        prod = _mm512_sub_epi32(_mm512_xor_si512(prod, sign), sign);
-        acc = _mm512_add_epi64(
-            acc, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(prod)));
-        acc = _mm512_add_epi64(
-            acc,
-            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(prod, 1)));
-    }
-    i64 total = _mm512_reduce_add_epi64(acc);
-    if (k < n)
-        total += tail(a + k, b + k, n - k);
-    return total;
-}
-
-i64
-ldDotSingleAvx512(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotAvx512<lodValueLanes>(a, b, n, ldDotSingleScalar);
-}
-
-i64
-ldDotTwoStepAvx512(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotAvx512<tsLodValueLanes>(a, b, n, ldDotTwoStepScalar);
-}
-
 u64
 absGreaterMask64Avx512(const float *x, float theta, Index n)
 {
@@ -251,8 +182,6 @@ avx512Table()
         axpy4F32Avx512,
         dotF32Avx512,
         dotI32Avx512,
-        ldDotSingleAvx512,
-        ldDotTwoStepAvx512,
         absGreaterMask64Avx512,
         cmpGeMask64Avx512,
         popcountWordsAvx512,

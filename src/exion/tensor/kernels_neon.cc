@@ -108,74 +108,6 @@ dotI32Neon(const i32 *a, const i32 *b, Index n)
     return total;
 }
 
-/** Per lane: all bits at or below the leading one set. */
-int32x4_t
-spreadBelowLeadingOne(int32x4_t v)
-{
-    uint32x4_t u = vreinterpretq_u32_s32(v);
-    u = vorrq_u32(u, vshrq_n_u32(u, 1));
-    u = vorrq_u32(u, vshrq_n_u32(u, 2));
-    u = vorrq_u32(u, vshrq_n_u32(u, 4));
-    u = vorrq_u32(u, vshrq_n_u32(u, 8));
-    u = vorrq_u32(u, vshrq_n_u32(u, 16));
-    return vreinterpretq_s32_u32(u);
-}
-
-/** Per lane: lodValue(v) — the isolated leading one (0 for 0). */
-int32x4_t
-lodValueLanes(int32x4_t v)
-{
-    const uint32x4_t spread =
-        vreinterpretq_u32_s32(spreadBelowLeadingOne(v));
-    return vreinterpretq_s32_u32(
-        vbicq_u32(spread, vshrq_n_u32(spread, 1)));
-}
-
-/** Per lane: tsLodValue(v) — the two leading set bits. */
-int32x4_t
-tsLodValueLanes(int32x4_t v)
-{
-    const int32x4_t top = lodValueLanes(v);
-    const int32x4_t rest = vbicq_s32(v, top);
-    return vorrq_s32(top, lodValueLanes(rest));
-}
-
-template <int32x4_t (*LodLanes)(int32x4_t)>
-i64
-ldDotNeon(const i32 *a, const i32 *b, Index n,
-          i64 (*tail)(const i32 *, const i32 *, Index))
-{
-    int64x2_t acc = vdupq_n_s64(0);
-    Index k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const int32x4_t va = vld1q_s32(a + k);
-        const int32x4_t vb = vld1q_s32(b + k);
-        const int32x4_t la = LodLanes(vabsq_s32(va));
-        const int32x4_t lb = LodLanes(vabsq_s32(vb));
-        int32x4_t prod = vmulq_s32(la, lb);
-        const int32x4_t sign = vshrq_n_s32(veorq_s32(va, vb), 31);
-        prod = vsubq_s32(veorq_s32(prod, sign), sign);
-        acc = vaddq_s64(acc, vmovl_s32(vget_low_s32(prod)));
-        acc = vaddq_s64(acc, vmovl_s32(vget_high_s32(prod)));
-    }
-    i64 total = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-    if (k < n)
-        total += tail(a + k, b + k, n - k);
-    return total;
-}
-
-i64
-ldDotSingleNeon(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotNeon<lodValueLanes>(a, b, n, ldDotSingleScalar);
-}
-
-i64
-ldDotTwoStepNeon(const i32 *a, const i32 *b, Index n)
-{
-    return ldDotNeon<tsLodValueLanes>(a, b, n, ldDotTwoStepScalar);
-}
-
 } // namespace
 
 const SimdKernels *
@@ -187,8 +119,6 @@ neonTable()
         axpy4F32Neon,
         dotF32Neon,
         dotI32Neon,
-        ldDotSingleNeon,
-        ldDotTwoStepNeon,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,

@@ -14,49 +14,11 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-
-#include "exion/common/bitops.h"
 
 namespace exion
 {
 namespace simd
 {
-
-namespace
-{
-
-/*
- * Log-domain product terms via the reconstruction identity:
- * sign * 2^(pa+pb) == sign * lodValue(|a|) * lodValue(|b|), and the
- * TwoStep sum of cross terms (2^a1+2^a2)(2^b1+2^b2) is exactly
- * tsLodValue(|a|) * tsLodValue(|b|). Zero operands fall out naturally
- * (lodValue(0) == 0). Integer arithmetic — equal to ldProduct() on
- * every input, enforced exhaustively over the INT12 operand range in
- * test_simd.cc.
- */
-
-i64
-ldTermSingle(i32 a, i32 b)
-{
-    const bool negative = (a < 0) != (b < 0);
-    const u32 ua = static_cast<u32>(std::abs(static_cast<i64>(a)));
-    const u32 ub = static_cast<u32>(std::abs(static_cast<i64>(b)));
-    const i64 mag = static_cast<i64>(lodValue(ua)) * lodValue(ub);
-    return negative ? -mag : mag;
-}
-
-i64
-ldTermTwoStep(i32 a, i32 b)
-{
-    const bool negative = (a < 0) != (b < 0);
-    const u32 ua = static_cast<u32>(std::abs(static_cast<i64>(a)));
-    const u32 ub = static_cast<u32>(std::abs(static_cast<i64>(b)));
-    const i64 mag = static_cast<i64>(tsLodValue(ua)) * tsLodValue(ub);
-    return negative ? -mag : mag;
-}
-
-} // namespace
 
 void
 axpyF32Scalar(float *out, const float *x, float a, Index n)
@@ -95,24 +57,6 @@ dotI32Scalar(const i32 *a, const i32 *b, Index n)
     i64 acc = 0;
     for (Index k = 0; k < n; ++k)
         acc += static_cast<i64>(a[k]) * b[k];
-    return acc;
-}
-
-i64
-ldDotSingleScalar(const i32 *a, const i32 *b, Index n)
-{
-    i64 acc = 0;
-    for (Index k = 0; k < n; ++k)
-        acc += ldTermSingle(a[k], b[k]);
-    return acc;
-}
-
-i64
-ldDotTwoStepScalar(const i32 *a, const i32 *b, Index n)
-{
-    i64 acc = 0;
-    for (Index k = 0; k < n; ++k)
-        acc += ldTermTwoStep(a[k], b[k]);
     return acc;
 }
 
@@ -170,8 +114,6 @@ scalarTable()
         axpy4F32Scalar,
         dotF32Scalar,
         dotI32Scalar,
-        ldDotSingleScalar,
-        ldDotTwoStepScalar,
         absGreaterMask64Scalar,
         cmpGeMask64Scalar,
         popcountWordsScalar,

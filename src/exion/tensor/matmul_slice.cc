@@ -226,30 +226,6 @@ matmulSliced(const Matrix &a, const Matrix &b, const TpContext &tp,
 }
 
 Matrix
-matmulTransposedSliced(const Matrix &a, const Matrix &b,
-                       const TpContext &tp, GemmBackend backend,
-                       SimdTier simd)
-{
-    // Output columns are b's *rows*: a slice of a pre-transposed
-    // at-rest weight is a contiguous row range.
-    const SlicePlan plan =
-        SlicePlan::make(b.rows(), tp.active() ? tp.nSlices : 1);
-    if (!plan.parallel())
-        return matmulTransposedWith(a, b, backend, simd);
-    std::vector<Matrix> parts(static_cast<size_t>(plan.slices()));
-    runSliced(tp, plan.slices(), [&](int s) {
-        const SliceRange &r = plan.range(s);
-        if (r.empty())
-            return;
-        const Matrix rows = Matrix::borrowStrided(
-            b.rowPtr(r.c0), r.n, b.cols(), b.rowStride());
-        parts[static_cast<size_t>(s)] =
-            matmulTransposedWith(a, rows, backend, simd);
-    });
-    return mergeParts(a.rows(), b.rows(), plan, parts);
-}
-
-Matrix
 matmulQuantSliced(const QuantMatrix &a, const QuantMatrix &b,
                   const TpContext &tp, GemmBackend backend,
                   SimdTier simd)

@@ -186,15 +186,6 @@ Matrix matmulSliced(const Matrix &a, const Matrix &b, const TpContext &tp,
                     GemmBackend backend,
                     SimdTier simd = defaultSimdTier());
 
-/**
- * C = A * B^T, B's *rows* (the output columns) sliced across tp —
- * a slice of a pre-transposed at-rest weight is a contiguous row
- * range, no stride needed.
- */
-Matrix matmulTransposedSliced(const Matrix &a, const Matrix &b,
-                              const TpContext &tp, GemmBackend backend,
-                              SimdTier simd = defaultSimdTier());
-
 /** Integer matmul, B's columns sliced across tp. */
 Matrix matmulQuantSliced(const QuantMatrix &a, const QuantMatrix &b,
                          const TpContext &tp, GemmBackend backend,

@@ -4,9 +4,9 @@
  *
  * Every open-coded inner loop the profiles flagged — bitmask
  * popcount/compare words, FFN-Reuse threshold scans and masked
- * products, eager prediction's compare loops and log-domain MACs, the
- * Blocked GEMM micro-kernel — now calls a *named kernel* out of a
- * function table. One table per instruction set
+ * products, eager prediction's compare loops, the Blocked GEMM
+ * micro-kernel — now calls a *named kernel* out of a function table.
+ * One table per instruction set
  * (kernels_{scalar,avx2,avx512,neon}.cc), probed once at runtime
  * (CPUID / compile-time ISA) and selected behind the scalar
  * reference, so the same binary runs the widest vectors the host
@@ -113,20 +113,6 @@ struct SimdKernels
     i64 (*dotI32)(const i32 *a, const i32 *b, Index n);
 
     /**
-     * sum_k ldProduct(a[k], b[k], LodMode::Single). Integer-exact.
-     * Vector form uses sign(a*b) * lodValue(|a|) * lodValue(|b|) —
-     * identically the scalar 2^(pa+pb) with the zero cases folded in.
-     */
-    i64 (*ldDotSingle)(const i32 *a, const i32 *b, Index n);
-
-    /**
-     * sum_k ldProduct(a[k], b[k], LodMode::TwoStep). Integer-exact:
-     * the four cross terms of (2^a1+2^a2)(2^b1+2^b2) are exactly
-     * tsLodValue(|a|) * tsLodValue(|b|).
-     */
-    i64 (*ldDotTwoStep)(const i32 *a, const i32 *b, Index n);
-
-    /**
      * Bit i of the result is set iff |x[i]| > theta, for i in
      * [0, n), n <= 64. Matches std::abs(x[i]) > theta exactly:
      * ordered compare, so NaN payloads yield 0 bits; -Inf compares
@@ -217,8 +203,6 @@ void axpy4F32Scalar(float *out, const float *x0, const float *x1,
                     float a1, float a2, float a3, Index n);
 float dotF32Scalar(const float *a, const float *b, Index n);
 i64 dotI32Scalar(const i32 *a, const i32 *b, Index n);
-i64 ldDotSingleScalar(const i32 *a, const i32 *b, Index n);
-i64 ldDotTwoStepScalar(const i32 *a, const i32 *b, Index n);
 u64 absGreaterMask64Scalar(const float *x, float theta, Index n);
 u64 cmpGeMask64Scalar(const float *x, float threshold, Index n);
 u64 popcountWordsScalar(const u64 *w, Index n);

@@ -11,6 +11,7 @@
 #include "exion/conmerge/merged_tile.h"
 #include "exion/conmerge/sort_buffer.h"
 #include "exion/sim/sdue.h"
+#include "exion/sparsity/log_domain.h"
 #include "exion/tensor/bitmask.h"
 #include "exion/tensor/ops.h"
 
@@ -166,6 +167,25 @@ TEST(FailureDeathTest, SaturatingAddRejectsSillyWidths)
 {
     REQUIRE_ASSERTS();
     EXPECT_DEATH(saturatingAdd(1, 1, 1), "accumulator width");
+}
+
+// The log-domain GEMM is exact only while |image| <= 2^15; Int32
+// operands could carry images up to 2^31 whose products no longer
+// fit the exact accumulator, so they must be refused, not rounded.
+TEST(FailureDeathTest, LdMatmulRejectsInt32Operands)
+{
+    REQUIRE_ASSERTS();
+    Matrix a(2, 3), b(3, 2);
+    a.fill(1.0f);
+    b.fill(1.0f);
+    const QuantMatrix q12 = QuantMatrix::fromFloat(a, IntWidth::Int12);
+    const QuantMatrix q16 = QuantMatrix::fromFloat(b, IntWidth::Int16);
+    const QuantMatrix q32 = QuantMatrix::fromFloat(b, IntWidth::Int32);
+    const QuantMatrix q32t = QuantMatrix::fromFloat(a, IntWidth::Int32);
+    EXPECT_EQ(ldMatmul(q12, q16, LodMode::TwoStep).rows(), 2u);
+    EXPECT_DEATH(ldMatmul(q12, q32, LodMode::TwoStep), "at most Int16");
+    EXPECT_DEATH(ldMatmulTransposed(q12, q32t, LodMode::Single),
+                 "at most Int16");
 }
 
 } // namespace

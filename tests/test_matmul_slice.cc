@@ -238,27 +238,6 @@ TEST(MatmulSlicedTest, NanInfPayloadsStayBitIdentical)
     }
 }
 
-TEST(MatmulTransposedSlicedTest, BitIdenticalToSolo)
-{
-    Rng rng(31);
-    for (const Shape &sh : kShapes) {
-        Matrix a = randomMatrix(sh.m, sh.k, rng);
-        Matrix bT = randomMatrix(sh.n, sh.k, rng); // output cols = rows
-        for (GemmBackend backend : kBackends)
-            for (int nSlices : {2, 4}) {
-                SerialSliceRunner runner;
-                const TpContext tp{nSlices, &runner};
-                const Matrix solo =
-                    matmulTransposedWith(a, bT, backend);
-                const Matrix tpOut =
-                    matmulTransposedSliced(a, bT, tp, backend);
-                EXPECT_TRUE(bitIdentical(solo, tpOut))
-                    << sh.m << "x" << sh.k << "x" << sh.n
-                    << " slices=" << nSlices;
-            }
-    }
-}
-
 TEST(MatmulQuantSlicedTest, BitIdenticalToSolo)
 {
     Rng rng(37);

@@ -8,8 +8,9 @@
  * mask words with ragged tails. Exact-contract entries (axpy,
  * compares, integer reductions) must be bit-identical; dotF32 — the
  * Fast tier's reassociated reduction — is tolerance-checked. The
- * log-domain dot kernels are checked exhaustively against ldProduct
- * over the full INT12 operand range. On top of the kernels, the
+ * log-domain GEMM, which runs outside the tables, is checked
+ * exhaustively against an ldProduct triple loop over the full INT12
+ * operand range. On top of the kernels, the
  * tier plumbing (parse round-trips, table selection, process
  * default) and the Bitmask2D word-level API (words(), andPopcount,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
@@ -174,8 +175,6 @@ TEST(SimdDispatchTest, TablesArePopulated)
         EXPECT_NE(t->axpy4F32, nullptr);
         EXPECT_NE(t->dotF32, nullptr);
         EXPECT_NE(t->dotI32, nullptr);
-        EXPECT_NE(t->ldDotSingle, nullptr);
-        EXPECT_NE(t->ldDotTwoStep, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
         EXPECT_NE(t->cmpGeMask64, nullptr);
         EXPECT_NE(t->popcountWords, nullptr);
@@ -271,63 +270,123 @@ TEST(SimdKernelTest, DotI32Exact)
     }
 }
 
+/**
+ * Naive log-domain oracle: C = A * B (B^T when transposed) as an
+ * ldProduct triple loop in i64, dequantised exactly as ldMatmul
+ * documents.
+ */
+Matrix
+ldOracle(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
+         bool transposed)
+{
+    const Index n = transposed ? b.rows() : b.cols();
+    const double scale = a.scale() * b.scale();
+    Matrix c(a.rows(), n);
+    for (Index i = 0; i < a.rows(); ++i)
+        for (Index j = 0; j < n; ++j) {
+            i64 sum = 0;
+            for (Index k = 0; k < a.cols(); ++k)
+                sum += ldProduct(a(i, k),
+                                 transposed ? b(j, k) : b(k, j), mode);
+            c(i, j) = static_cast<float>(sum * scale);
+        }
+    return c;
+}
+
+/** QuantMatrix over explicit values (row-major) with a given scale. */
+QuantMatrix
+quantOf(const std::vector<i32> &v, Index rows, Index cols, double scale)
+{
+    QuantMatrix q(rows, cols, QuantParams{scale, IntWidth::Int12});
+    for (Index r = 0; r < rows; ++r)
+        for (Index c = 0; c < cols; ++c)
+            q.at(r, c) = v[r * cols + c];
+    return q;
+}
+
+/** ldMatmul and ldMatmulTransposed both byte-equal to the oracle. */
+void
+expectLdMatmulMatchesOracle(const QuantMatrix &a, const QuantMatrix &b,
+                            const QuantMatrix &bt, LodMode mode)
+{
+    const Matrix want = ldOracle(a, b, mode, false);
+    EXPECT_TRUE(bitIdentical(want, ldMatmul(a, b, mode)));
+    EXPECT_TRUE(bitIdentical(want, ldOracle(a, bt, mode, true)));
+    EXPECT_TRUE(bitIdentical(want, ldMatmulTransposed(a, bt, mode)));
+}
+
 TEST(SimdKernelTest, LdDotExhaustiveInt12)
 {
-    // Every INT12 operand pair, both LOD depths: the vector lane math
-    // (spread-bits magnitude, sign folding) must reproduce ldProduct
-    // exactly, and the scalar kernel must equal the per-element sum.
-    const i32 lo = -2047, hi = 2047;
+    // Every INT12 value (-2048 included) against a stride-13 sweep of
+    // the same range plus 0, both LOD depths, through the image GEMM.
+    // k = 1 isolates each pair's product; k = 4096 then sums every
+    // value's product in one chain per output column.
     std::vector<i32> all;
-    for (i32 v = lo; v <= hi; ++v)
+    for (i32 v = -2048; v <= 2047; ++v)
         all.push_back(v);
-    const Index n = all.size();
-    const std::vector<const SimdKernels *> tables = vectorTables();
+    std::vector<i32> bs = {0};
+    for (i32 v = -2048; v <= 2047; v += 13)
+        bs.push_back(v);
+    ASSERT_EQ(bs.back(), 2047);
+    const Index na = all.size(), nb = bs.size();
 
-    std::vector<i32> bvec(n);
-    // Stride 13 keeps the full-range sweep but trims runtime; the
-    // tails (|v| near 0 and 2047) are always included.
-    for (i32 b = lo; b <= hi; b += 13) {
-        std::fill(bvec.begin(), bvec.end(), b);
-        i64 want_single = 0, want_two = 0;
-        for (i32 a : all) {
-            want_single += ldProduct(a, b, LodMode::Single);
-            want_two += ldProduct(a, b, LodMode::TwoStep);
+    std::vector<i32> rep(na * nb), rep_t(nb * na);
+    for (Index k = 0; k < na; ++k)
+        for (Index j = 0; j < nb; ++j) {
+            rep[k * nb + j] = bs[j];
+            rep_t[j * na + k] = bs[j];
         }
-        ASSERT_EQ(want_single,
-                  simd::ldDotSingleScalar(all.data(), bvec.data(), n))
-            << "b=" << b;
-        ASSERT_EQ(want_two,
-                  simd::ldDotTwoStepScalar(all.data(), bvec.data(), n))
-            << "b=" << b;
-        for (const SimdKernels *table : tables) {
-            ASSERT_EQ(want_single,
-                      table->ldDotSingle(all.data(), bvec.data(), n))
-                << table->name << " b=" << b;
-            ASSERT_EQ(want_two,
-                      table->ldDotTwoStep(all.data(), bvec.data(), n))
-                << table->name << " b=" << b;
-        }
+    for (LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
+        SCOPED_TRACE(mode == LodMode::Single ? "single" : "two-step");
+        // Pairwise: A is 4096 x 1, B is 1 x nb.
+        expectLdMatmulMatchesOracle(quantOf(all, na, 1, 0.5),
+                                    quantOf(bs, 1, nb, 0.25),
+                                    quantOf(bs, nb, 1, 0.25), mode);
+        // Whole-range chains: A is 1 x 4096, column j of B holds b_j.
+        expectLdMatmulMatchesOracle(quantOf(all, 1, na, 1e-3),
+                                    quantOf(rep, na, nb, 3e-2),
+                                    quantOf(rep_t, nb, na, 3e-2), mode);
     }
 }
 
 TEST(SimdKernelTest, LdDotRaggedTails)
 {
+    // k and n around every vector width (and EP's dh = 12 and 48),
+    // random INT12 operands with the range ends sprinkled in.
+    const Index kDims[] = {1, 12, 15, 16, 17, 48};
     Rng rng(15);
-    for (const SimdKernels *table : vectorTables()) {
-        for (Index n : kLengths) {
-            std::vector<i32> a(n), b(n);
-            for (Index i = 0; i < n; ++i) {
-                a[i] = static_cast<i32>(rng.uniform() * 4095.0) - 2047;
-                b[i] = static_cast<i32>(rng.uniform() * 4095.0) - 2047;
-            }
-            EXPECT_EQ(simd::ldDotSingleScalar(a.data(), b.data(), n),
-                      table->ldDotSingle(a.data(), b.data(), n))
-                << table->name << " n=" << n;
-            EXPECT_EQ(simd::ldDotTwoStepScalar(a.data(), b.data(), n),
-                      table->ldDotTwoStep(a.data(), b.data(), n))
-                << table->name << " n=" << n;
+    auto operand = [&](Index rows, Index cols) {
+        std::vector<i32> v(rows * cols);
+        for (i32 &x : v) {
+            const double u = rng.uniform();
+            if (u < 0.05)
+                x = -2048;
+            else if (u < 0.10)
+                x = 2047;
+            else if (u < 0.15)
+                x = 0;
+            else
+                x = static_cast<i32>(rng.uniformInt(4096)) - 2048;
         }
-    }
+        return v;
+    };
+    for (Index k : kDims)
+        for (Index n : kDims) {
+            const Index m = 5;
+            const QuantMatrix a = quantOf(operand(m, k), m, k, 0.01);
+            const std::vector<i32> bv = operand(k, n);
+            std::vector<i32> btv(n * k);
+            for (Index r = 0; r < k; ++r)
+                for (Index c = 0; c < n; ++c)
+                    btv[c * k + r] = bv[r * n + c];
+            for (LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
+                SCOPED_TRACE("k=" + std::to_string(k)
+                             + " n=" + std::to_string(n));
+                expectLdMatmulMatchesOracle(a, quantOf(bv, k, n, 0.02),
+                                            quantOf(btv, n, k, 0.02),
+                                            mode);
+            }
+        }
 }
 
 // -------------------------------------------------------- mask kernels

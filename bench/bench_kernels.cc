@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the hot kernels: log-domain products, eager
- * prediction at EP's per-head shapes, CVG block merging, bitmask
+ * prediction at EP's per-head shapes, one whole EP attention block
+ * and one head's skip decision, CVG block merging, bitmask
  * extraction, quantised matmul and the dense GEMM backends. Not a
  * paper artefact; standard performance tracking for the library
  * itself.
@@ -32,6 +33,7 @@
 #include "exion/sparsity/eager_prediction.h"
 #include "exion/sparsity/log_domain.h"
 #include "exion/sparsity/mask_synth.h"
+#include "exion/sparsity/sparse_executor.h"
 #include "exion/tensor/gemm.h"
 #include "exion/tensor/ops.h"
 
@@ -89,6 +91,63 @@ epOperands(const GemmShape &s)
             QuantMatrix::fromFloat(wq, IntWidth::Int12),
             QuantMatrix::fromFloat(wk, IntWidth::Int12)};
 }
+
+/**
+ * One EP attention block (epAttentionImpl, TS-LOD, Blocked GEMMs) at
+ * reduced StableDiffusion's two stages with its EP knobs (80% kept),
+ * and at reduced DiT's stage with its knobs (5% kept): the low-keep
+ * shape where scoring every position by GEMM does the most surplus
+ * work.
+ */
+struct EpBlockShape
+{
+    const char *name;
+    Index tokens, dModel, heads;
+    EpConfig ep;
+};
+
+constexpr EpBlockShape kEpBlockShapes[] = {
+    {"ep_attention_block/128x48h4", 128, 48, 4, {0.8, 0.8}},
+    {"ep_attention_block/32x96h4", 32, 96, 4, {0.8, 0.8}},
+    {"ep_attention_block/32x96h4_topk0.05", 32, 96, 4, {0.15, 0.05}},
+};
+
+/** A block, its input and its cached EP weight images. */
+struct EpBlock
+{
+    Rng rng{10};
+    TransformerBlock blk;
+    Matrix x;
+    EpWeightImages img;
+
+    explicit EpBlock(const EpBlockShape &s)
+        : blk(0, s.dModel, s.heads, 4, true, rng), x(s.tokens, s.dModel),
+          img(epWeightImages(blk, LodMode::TwoStep))
+    {
+        x.fillNormal(rng, 0.0f, 1.0f);
+    }
+
+    Matrix
+    run(const EpConfig &ep)
+    {
+        ExecStats stats;
+        ExecObservers observers;
+        return epAttentionImpl(blk, x, img, ep, false, stats, observers,
+                               GemmBackend::Blocked);
+    }
+};
+
+/** A 128 x 128 predicted score for ep_decide_head (80% kept). */
+Matrix
+decideScores()
+{
+    Rng rng(11);
+    Matrix p(128, 128);
+    p.fillNormal(rng, 0.0f, 1.0f);
+    return p;
+}
+
+constexpr EpConfig kDecideEp{0.8, 0.8};
 
 /** Keeps timed results observable without Google Benchmark's
     DoNotOptimize. */
@@ -218,6 +277,33 @@ BM_EpPredictHead(benchmark::State &state)
     state.SetLabel(shape.name);
 }
 BENCHMARK(BM_EpPredictHead)->Arg(0)->Arg(1);
+
+/** One whole EP attention block (see kEpBlockShapes). */
+void
+BM_EpAttentionBlock(benchmark::State &state)
+{
+    const EpBlockShape &shape = kEpBlockShapes[state.range(0)];
+    EpBlock block(shape);
+    for (auto _ : state) {
+        Matrix out = block.run(shape.ep);
+        benchmark::DoNotOptimize(out.data().data());
+    }
+    state.SetLabel(shape.name);
+}
+BENCHMARK(BM_EpAttentionBlock)->Arg(0)->Arg(1)->Arg(2);
+
+/** One head's skip decision from a 128-token predicted score. */
+void
+BM_EpDecideHead(benchmark::State &state)
+{
+    const Matrix p = decideScores();
+    for (auto _ : state) {
+        HeadDecision dec = decideFromPrediction(p, kDecideEp);
+        benchmark::DoNotOptimize(dec.oneHot.data());
+    }
+    state.SetLabel("ep_decide_head/128");
+}
+BENCHMARK(BM_EpDecideHead);
 
 void
 BM_QuantMatmul(benchmark::State &state)
@@ -422,6 +508,22 @@ runFallbackSuite(int reps)
             const Matrix p =
                 predictHeadScore(op.x, op.wq, op.wk, LodMode::TwoStep);
             g_sink = g_sink + p(0, 0);
+        });
+    }
+
+    for (const EpBlockShape &s : kEpBlockShapes) {
+        EpBlock block(s);
+        timeKernel(s.name, s.tokens * s.tokens * s.heads, reps, [&] {
+            const Matrix out = block.run(s.ep);
+            g_sink = g_sink + out(0, 0);
+        });
+    }
+
+    {
+        const Matrix p = decideScores();
+        timeKernel("ep_decide_head/128", p.size(), reps, [&] {
+            const HeadDecision dec = decideFromPrediction(p, kDecideEp);
+            g_sink = g_sink + static_cast<float>(dec.oneHotCount());
         });
     }
 

@@ -51,6 +51,10 @@ quantize(float x, const QuantParams &params)
     const i32 max_q = intWidthMax(params.width);
     const i32 min_q = -max_q - 1;
     const double scaled = std::nearbyint(x / params.scale);
+    // NaN (a NaN input, or +-Inf over an Inf scale) has no grid
+    // point, and casting it is undefined: it quantises to 0.
+    if (std::isnan(scaled))
+        return 0;
     const double clamped = std::clamp(
         scaled, static_cast<double>(min_q), static_cast<double>(max_q));
     return static_cast<i32>(clamped);

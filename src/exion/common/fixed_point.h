@@ -50,7 +50,10 @@ struct QuantParams
 QuantParams chooseQuantParams(std::span<const float> data,
                               IntWidth width);
 
-/** Quantises one value: clamp(round(x / scale)). */
+/**
+ * Quantises one value: clamp(round(x / scale)). A NaN quotient (NaN
+ * x, or +-Inf x over an Inf scale) quantises to 0.
+ */
 i32 quantize(float x, const QuantParams &params);
 
 /** Dequantises one value: q * scale. */

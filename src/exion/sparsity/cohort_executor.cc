@@ -7,7 +7,8 @@ namespace exion
 
 CohortExecutor::CohortExecutor(const SparseExecutor::Options &opt)
     : opt_(opt),
-      ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp)
+      ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp),
+      epWeights_(opt.lodMode)
 {
 }
 
@@ -92,8 +93,8 @@ CohortExecutor::attention(const TransformerBlock &blk,
             const Matrix x_m = sliceRows(x_norm, m * t_seg, t_seg);
             Slot &s = slot(active_[m]);
             const Matrix seg = opt_.useEp
-                ? epAttentionImpl(blk, x_m, opt_.ep, opt_.lodMode,
-                                  opt_.quantize, s.ctx->stats,
+                ? epAttentionImpl(blk, x_m, epWeights_.images(blk),
+                                  opt_.ep, opt_.quantize, s.ctx->stats,
                                   s.observers, opt_.gemm, opt_.simd,
                                   opt_.tp)
                 : denseAttentionImpl(blk, x_m, opt_.quantize,

@@ -32,6 +32,81 @@ ProjectionNeeds::countNeeded(const std::vector<u8> &needs)
     return n;
 }
 
+namespace
+{
+
+/**
+ * Integer key ordered like kthLargest's float order: flipping a
+ * negative float's magnitude bits makes signed integer order follow
+ * float order, then -0 joins +0 at 0 and NaN drops to the minimum.
+ */
+inline i32
+orderKey(float v)
+{
+    const i32 bits = std::bit_cast<i32>(v);
+    const i32 key = bits ^ ((bits >> 31) & 0x7FFFFFFF);
+    const i32 finite_key = v == 0.0f ? 0 : key;
+    return v != v ? std::numeric_limits<i32>::min() : finite_key;
+}
+
+/** Inverse of orderKey (the minimum key maps back to a NaN). */
+inline float
+keyValue(i32 key)
+{
+    return std::bit_cast<float>(key ^ ((key >> 31) & 0x7FFFFFFF));
+}
+
+} // namespace
+
+float
+kthLargest(std::span<const float> x, Index k, std::vector<i32> &scratch)
+{
+    const Index n = x.size();
+    EXION_ASSERT(k >= 1 && k <= n, "kthLargest rank ", k, " of ", n);
+    scratch.resize(2 * n);
+    i32 *buf[2] = {scratch.data(), scratch.data() + n};
+    for (Index i = 0; i < n; ++i)
+        buf[0][i] = orderKey(x[i]);
+
+    // Candidates sit at from[0, m); rank counts how many of them rank
+    // above the answer. Each pass splits them around a pivot into the
+    // spare buffer: greater keys fill it from the front, smaller ones
+    // from the back, and both slots are written every step, so only
+    // the counters depend on the data.
+    int cur = 0;
+    const i32 *from = buf[0];
+    Index m = n;
+    Index rank = k - 1;
+    for (;;) {
+        const i32 a = from[0];
+        const i32 b = from[m / 2];
+        const i32 c = from[m - 1];
+        const i32 pivot =
+            std::max(std::min(a, b), std::min(std::max(a, b), c));
+        i32 *to = buf[1 - cur];
+        Index n_gt = 0;
+        Index n_lt = 0;
+        for (Index i = 0; i < m; ++i) {
+            const i32 v = from[i];
+            to[n_gt] = v;
+            to[m - 1 - n_lt] = v;
+            n_gt += v > pivot;
+            n_lt += v < pivot;
+        }
+        cur = 1 - cur;
+        if (rank < n_gt) {
+            from = to;
+            m = n_gt;
+        } else if (rank < m - n_lt) {
+            return keyValue(pivot);
+        } else {
+            rank -= m - n_lt;
+            from = to + (m - n_lt);
+            m = n_lt;
+        }
+    }
+}
+
 HeadDecision
 decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
                      SimdTier simd)
@@ -50,7 +125,7 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
         1, static_cast<Index>(
                std::ceil(ep.topK * static_cast<double>(t_k))));
 
-    std::vector<float> row(t_k);
+    std::vector<i32> scratch;
     for (Index r = 0; r < t_q; ++r) {
         const float *src = predicted.rowPtr(r);
 
@@ -76,18 +151,19 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
             continue;
         }
 
-        // Top-k selection: values outside the top k are zeroed.
-        std::copy(src, src + t_k, row.begin());
-        std::nth_element(row.begin(), row.begin() + (keep_k - 1),
-                         row.end(), std::greater<float>());
-        const float threshold = row[keep_k - 1];
+        // Top-k selection: values outside the top k are zeroed. Every
+        // entry ranks at or above a NaN threshold.
+        const float threshold = kthLargest({src, t_k}, keep_k, scratch);
+        const bool keep_all = threshold != threshold;
         // Compare 64 columns per kernel call; cap at keep_k kept
         // entries (ties at the threshold keep the lowest columns,
         // exactly the per-bit scan's order).
         Index kept = 0;
         for (Index c0 = 0; c0 < t_k && kept < keep_k; c0 += 64) {
             const Index nb = std::min<Index>(64, t_k - c0);
-            u64 bits = kr.cmpGeMask64(src + c0, threshold, nb);
+            u64 bits = keep_all
+                ? ~u64{0} >> (64 - nb)
+                : kr.cmpGeMask64(src + c0, threshold, nb);
             const Index ones =
                 static_cast<Index>(std::popcount(bits));
             if (kept + ones > keep_k) {
@@ -111,22 +187,22 @@ Matrix
 predictHeadScore(const QuantMatrix &x_q12, const QuantMatrix &wq_head,
                  const QuantMatrix &wk_head, LodMode mode, SimdTier)
 {
-    return predictHeadScore(ldImage(x_q12, mode), wq_head, wk_head);
+    return predictHeadScore(ldImage(x_q12, mode), ldImage(wq_head, mode),
+                            ldImage(wk_head, mode));
 }
 
 Matrix
-predictHeadScore(const LdImage &x_img, const QuantMatrix &wq_head,
-                 const QuantMatrix &wk_head)
+predictHeadScore(const LdImage &x_img, const LdImage &wq_head,
+                 const LdImage &wk_head)
 {
-    EXION_ASSERT(wq_head.cols() == wk_head.cols(),
-                 "head width mismatch");
+    EXION_ASSERT(wq_head.cols == wk_head.cols, "head width mismatch");
     const LodMode mode = x_img.mode;
-    const Index dh = wq_head.cols();
+    const Index dh = wq_head.cols;
 
     // LD projections produce float estimates; requantise for the
     // second-level LD MMUL, as the EPRE feeds its own outputs back.
-    const Matrix q_est = ldMatmul(x_img, ldImage(wq_head, mode));
-    const Matrix k_est = ldMatmul(x_img, ldImage(wk_head, mode));
+    const Matrix q_est = ldMatmul(x_img, wq_head);
+    const Matrix k_est = ldMatmul(x_img, wk_head);
     const QuantMatrix q12 = QuantMatrix::fromFloat(q_est, IntWidth::Int12);
     const QuantMatrix k12 = QuantMatrix::fromFloat(k_est, IntWidth::Int12);
 

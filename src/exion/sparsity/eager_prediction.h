@@ -15,6 +15,7 @@
 #ifndef EXION_SPARSITY_EAGER_PREDICTION_H_
 #define EXION_SPARSITY_EAGER_PREDICTION_H_
 
+#include <span>
 #include <vector>
 
 #include "exion/model/config.h"
@@ -59,7 +60,28 @@ struct ProjectionNeeds
 };
 
 /**
+ * The k-th largest of x (k is 1-based) under a total order: -0 and +0
+ * tie, and NaN ranks below every number, -Inf included. The result
+ * compares equal to the k-th entry of x sorted descending in that
+ * order (a NaN when that entry is NaN).
+ *
+ * A three-way partition select over integer order keys: each pass
+ * moves every candidate into its side with index arithmetic instead
+ * of a data-dependent branch. Median-of-three pivots make it linear
+ * on average; only a crafted order makes it quadratic.
+ *
+ * @param scratch reused buffer (grown to 2 * x.size())
+ * @pre 1 <= k <= x.size()
+ */
+float kthLargest(std::span<const float> x, Index k,
+                 std::vector<i32> &scratch);
+
+/**
  * Builds the skip decision for one head from its predicted score.
+ *
+ * Non-one-hot rows keep the entries at or above their keep_k-th
+ * largest value in kthLargest's order (every entry, when that value
+ * is NaN), trimmed to the lowest keep_k columns.
  *
  * @param predicted scaled predicted attention score (T x T)
  * @param ep        q_th / top-k configuration
@@ -90,12 +112,12 @@ Matrix predictHeadScore(const QuantMatrix &x_q12,
                         SimdTier simd = defaultSimdTier());
 
 /**
- * predictHeadScore on a prebuilt image of the block input, so a
- * block builds x's image once for all its heads; the LOD depth is
- * the image's.
+ * predictHeadScore on prebuilt images: the block input's (built once
+ * per block for all heads) and the head's Wq/Wk slices (built once
+ * per block and LOD depth). The LOD depth is the images'.
  */
-Matrix predictHeadScore(const LdImage &x_img, const QuantMatrix &wq_head,
-                        const QuantMatrix &wk_head);
+Matrix predictHeadScore(const LdImage &x_img, const LdImage &wq_head,
+                        const LdImage &wk_head);
 
 /** Combines per-head decisions into block-level projection needs. */
 ProjectionNeeds combineNeeds(const std::vector<HeadDecision> &heads,

@@ -10,8 +10,38 @@ namespace exion
 
 SparseExecutor::SparseExecutor(const Options &opt)
     : opt_(opt),
-      ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp)
+      ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp),
+      epWeights_(opt.lodMode)
 {
+}
+
+EpWeightImages
+epWeightImages(const TransformerBlock &blk, LodMode mode)
+{
+    const Index dh = blk.headDim();
+    EpWeightImages img;
+    img.wq.reserve(blk.nHeads());
+    img.wk.reserve(blk.nHeads());
+    for (Index h = 0; h < blk.nHeads(); ++h) {
+        img.wq.push_back(ldImage(
+            QuantMatrix::fromFloat(sliceCols(blk.wq().weight(), h * dh, dh),
+                                   IntWidth::Int12),
+            mode));
+        img.wk.push_back(ldImage(
+            QuantMatrix::fromFloat(sliceCols(blk.wk().weight(), h * dh, dh),
+                                   IntWidth::Int12),
+            mode));
+    }
+    return img;
+}
+
+const EpWeightImages &
+EpWeightCache::images(const TransformerBlock &blk)
+{
+    const auto [it, inserted] = blocks_.try_emplace(blk.id());
+    if (inserted)
+        it->second = epWeightImages(blk, mode_);
+    return it->second;
 }
 
 SparseExecutor::Options
@@ -96,41 +126,36 @@ Matrix
 SparseExecutor::epAttention(const TransformerBlock &blk,
                             const Matrix &x_norm)
 {
-    return epAttentionImpl(blk, x_norm, opt_.ep, opt_.lodMode,
+    return epAttentionImpl(blk, x_norm, epWeights_.images(blk), opt_.ep,
                            opt_.quantize, stats(), observers,
                            opt_.gemm, opt_.simd, opt_.tp);
 }
 
 Matrix
 epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
-                const EpConfig &ep, LodMode lod_mode, bool quantize,
-                ExecStats &stats, ExecObservers &observers,
+                const EpWeightImages &w_img, const EpConfig &ep,
+                bool quantize, ExecStats &stats, ExecObservers &observers,
                 GemmBackend backend, SimdTier simd, const TpContext &tp)
 {
-    const SimdKernels &kr = simdKernels(simd);
-    // Exact tier keeps the golden serial chain for the kept-position
-    // score dots (the k-chain is the output element); Fast swaps in
-    // the reassociated kernel.
-    const auto dot =
-        simd == SimdTier::Fast ? kr.dotF32 : simd::dotF32Scalar;
     const Index t = x_norm.rows();
     const Index d = blk.dModel();
     const Index dh = blk.headDim();
     const Index n_heads = blk.nHeads();
+    EXION_ASSERT(w_img.wq.size() == n_heads && w_img.wk.size() == n_heads,
+                 "EP weight images for ", w_img.wq.size(),
+                 " heads, block has ", n_heads);
     const float inv_sqrt = static_cast<float>(blk.scoreTemp())
         / std::sqrt(static_cast<float>(dh));
 
     // --- EPRE: predicted attention scores and skip decisions. ---
-    const LdImage x_img = ldImage(
-        QuantMatrix::fromFloat(x_norm, IntWidth::Int12), lod_mode);
+    const LdImage x_img =
+        ldImage(QuantMatrix::fromFloat(x_norm, IntWidth::Int12),
+                w_img.wq[0].mode);
     std::vector<HeadDecision> decisions;
     decisions.reserve(n_heads);
     for (Index h = 0; h < n_heads; ++h) {
-        const QuantMatrix qwq = QuantMatrix::fromFloat(
-            sliceCols(blk.wq().weight(), h * dh, dh), IntWidth::Int12);
-        const QuantMatrix qwk = QuantMatrix::fromFloat(
-            sliceCols(blk.wk().weight(), h * dh, dh), IntWidth::Int12);
-        Matrix predicted = predictHeadScore(x_img, qwq, qwk);
+        Matrix predicted =
+            predictHeadScore(x_img, w_img.wq[h], w_img.wk[h]);
         for (Index i = 0; i < predicted.size(); ++i)
             predicted.data()[i] *=
                 static_cast<float>(blk.scoreTemp());
@@ -170,11 +195,27 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
 
     // --- Real attention at kept positions only. ---
     Matrix concat(t, d);
+    Matrix kt(dh, t);
     std::vector<float> row_scores(t);
     std::vector<Index> kept_cols;
     kept_cols.reserve(t);
     for (Index h = 0; h < n_heads; ++h) {
         const HeadDecision &dec = decisions[h];
+
+        // Every score of the head in one GEMM against K_h^T: each
+        // element is then the golden chain (+0.0f start, ascending
+        // k, one rounding per multiply and add) in every backend and
+        // tier, the same bits as a serial dot of the two rows. K_h^T
+        // is copied once, straight from k's head slice into a reused
+        // buffer, instead of slicing and then transposing.
+        for (Index j = 0; j < t; ++j) {
+            const float *krow = k.rowPtr(j) + h * dh;
+            for (Index c = 0; c < dh; ++c)
+                kt(c, j) = krow[c];
+        }
+        const Matrix scores =
+            matmulWith(sliceCols(q, h * dh, dh), kt, backend, simd);
+
         OpCount kept_total = 0;
         for (Index r = 0; r < t; ++r) {
             if (dec.oneHot[r]) {
@@ -190,15 +231,11 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
             EXION_ASSERT(!kept_cols.empty(),
                          "non-one-hot row with empty keep set");
 
-            // Scores at kept positions. Head h's slice of a
-            // projection row is contiguous, so the kept dots stream
-            // both operands directly.
-            const float *qrow = q.rowPtr(r) + h * dh;
+            // Scores at kept positions.
+            const float *srow = scores.rowPtr(r);
             float max_v = -std::numeric_limits<float>::infinity();
             for (Index idx = 0; idx < kept_cols.size(); ++idx) {
-                const float *krow =
-                    k.rowPtr(kept_cols[idx]) + h * dh;
-                const float s = dot(qrow, krow, dh) * inv_sqrt;
+                const float s = srow[kept_cols[idx]] * inv_sqrt;
                 row_scores[idx] = s;
                 max_v = std::max(max_v, s);
             }
@@ -212,17 +249,18 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
             }
             const float inv_denom = static_cast<float>(1.0 / denom);
 
-            // Attention x V over kept entries: one axpy sweep per
+            // Attention x V over kept entries: one dh-wide sweep per
             // kept column into the (zero-initialised) concat slice.
-            // Per output element the terms still add in ascending
-            // idx order from +0.0f, with the probability weight
-            // rounded once before the sweep — exactly the original
-            // left-associated chain.
+            // Per output element the terms add in ascending idx order
+            // from +0.0f, with the probability weight rounded once
+            // before the sweep — the left-associated golden chain.
             float *crow = concat.rowPtr(r) + h * dh;
-            for (Index idx = 0; idx < kept_cols.size(); ++idx)
-                kr.axpyF32(crow,
-                           v.rowPtr(kept_cols[idx]) + h * dh,
-                           row_scores[idx] * inv_denom, dh);
+            for (Index idx = 0; idx < kept_cols.size(); ++idx) {
+                const float *vrow = v.rowPtr(kept_cols[idx]) + h * dh;
+                const float p = row_scores[idx] * inv_denom;
+                for (Index c = 0; c < dh; ++c)
+                    crow[c] += p * vrow[c];
+            }
         }
         stats.attnOpsDense += mmulOps(t, dh, t) + mmulOps(t, t, dh);
         stats.attnOpsExecuted += 2 * 2 * kept_total * dh;

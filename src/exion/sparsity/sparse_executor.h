@@ -9,6 +9,9 @@
 #ifndef EXION_SPARSITY_SPARSE_EXECUTOR_H_
 #define EXION_SPARSITY_SPARSE_EXECUTOR_H_
 
+#include <unordered_map>
+#include <vector>
+
 #include "exion/model/config.h"
 #include "exion/model/executor.h"
 #include "exion/sparsity/eager_prediction.h"
@@ -16,6 +19,40 @@
 
 namespace exion
 {
+
+/**
+ * Eager prediction's weight operands for one block: the signed LOD
+ * images of every head's Wq and Wk column slice, each slice
+ * quantised to INT12 with its own scale.
+ */
+struct EpWeightImages
+{
+    std::vector<LdImage> wq; //!< per head, d_model x d_head
+    std::vector<LdImage> wk; //!< per head, d_model x d_head
+};
+
+/** Builds a block's EpWeightImages at one LOD depth. */
+EpWeightImages epWeightImages(const TransformerBlock &blk, LodMode mode);
+
+/**
+ * Per-executor EpWeightImages, built on a block's first EP call and
+ * reused by every later iteration. Weights are immutable for a block
+ * id, and an executor runs one model at one LOD depth, so the block
+ * id is the key (the pattern of FfnReuse's transposed FFN-1 cache).
+ * Executors that never run EP never build an entry.
+ */
+class EpWeightCache
+{
+  public:
+    explicit EpWeightCache(LodMode mode) : mode_(mode) {}
+
+    /** The block's images, built on first use. */
+    const EpWeightImages &images(const TransformerBlock &blk);
+
+  private:
+    LodMode mode_;
+    std::unordered_map<int, EpWeightImages> blocks_;
+};
 
 /**
  * Block executor applying EXION's software-level optimisations.
@@ -98,6 +135,7 @@ class SparseExecutor : public BlockExecutor
 
     Options opt_;
     FfnReuse ffnReuse_;
+    EpWeightCache epWeights_;
 };
 
 /**
@@ -108,12 +146,13 @@ class SparseExecutor : public BlockExecutor
  * member's stats/observers — bit-identical to a solo SparseExecutor.
  *
  * @param x_norm    normalised block input (tokens x dModel)
+ * @param w_img     the block's EP weight images; their LOD depth is
+ *                  the score prediction's
  * @param ep        q_th / top-k configuration
- * @param lod_mode  LOD depth of the score prediction
  * @param quantize  route real MMULs through INT12 operands
  */
 Matrix epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
-                       const EpConfig &ep, LodMode lod_mode,
+                       const EpWeightImages &w_img, const EpConfig &ep,
                        bool quantize, ExecStats &stats,
                        ExecObservers &observers,
                        GemmBackend backend = defaultGemmBackend(),

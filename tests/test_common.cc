@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "exion/common/bitops.h"
@@ -184,6 +185,22 @@ TEST(FixedPoint, ZeroDataGetsUnitScale)
 {
     const QuantParams params = chooseQuantParams({}, IntWidth::Int12);
     EXPECT_DOUBLE_EQ(params.scale, 1.0);
+}
+
+TEST(FixedPoint, NanQuantisesToZero)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const QuantParams finite{0.5, IntWidth::Int12};
+    EXPECT_EQ(quantize(std::numeric_limits<float>::quiet_NaN(), finite),
+              0);
+    EXPECT_EQ(quantize(inf, finite), 2047);
+    EXPECT_EQ(quantize(-inf, finite), -2048);
+    // An Inf in the data makes the scale Inf: the Inf itself becomes
+    // Inf/Inf = NaN, every finite value 0.
+    const float data[] = {1.0f, -inf, 3.0f};
+    const QuantParams p = chooseQuantParams(data, IntWidth::Int12);
+    EXPECT_EQ(quantize(-inf, p), 0);
+    EXPECT_EQ(quantize(3.0f, p), 0);
 }
 
 TEST(FixedPoint, SaturatingAdd)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "exion/common/rng.h"
 #include "exion/sparsity/eager_prediction.h"
@@ -177,6 +180,88 @@ TEST_P(KeepRatioSweep, SparsityApproximatesOneMinusK)
 
 INSTANTIATE_TEST_SUITE_P(Ratios, KeepRatioSweep,
                          ::testing::Values(0.05, 0.2, 0.5, 0.7, 0.8));
+
+/** Descending in kthLargest's order: NaN below every number. */
+bool
+ranksAbove(float a, float b)
+{
+    return !std::isnan(a) && (std::isnan(b) || a > b);
+}
+
+TEST(KthLargest, MatchesSortedReferenceOnAdversarialRows)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    // Ties, both zeros, both infinities and NaNs of both signs.
+    const float pool[] = {nan,  -nan, inf,  -inf, 0.0f, -0.0f,
+                          1.0f, 1.0f, -1.0f, 2.5f, -2.5f, 1e-30f};
+    Rng rng(77);
+    std::vector<i32> scratch;
+    for (Index t : {1, 2, 63, 64, 65, 128, 129}) {
+        for (int trial = 0; trial < 200; ++trial) {
+            std::vector<float> row(t);
+            const int style = trial % 4;
+            for (float &v : row) {
+                if (style == 0)
+                    v = static_cast<float>(rng.normal(0.0, 1.0));
+                else if (style == 1)
+                    v = pool[rng.uniformInt(std::size(pool))];
+                else if (style == 2)
+                    v = static_cast<float>(rng.uniformInt(3)); // ties
+                else
+                    v = rng.bernoulli(0.5)
+                        ? pool[rng.uniformInt(std::size(pool))]
+                        : static_cast<float>(rng.normal(0.0, 1.0));
+            }
+            std::vector<float> sorted = row;
+            std::sort(sorted.begin(), sorted.end(), ranksAbove);
+            const Index mid = 1 + rng.uniformInt(t);
+            for (Index k : {Index{1}, t, mid}) {
+                const float expect = sorted[k - 1];
+                const float got = kthLargest(row, k, scratch);
+                if (std::isnan(expect))
+                    EXPECT_TRUE(std::isnan(got))
+                        << "t=" << t << " k=" << k << " style=" << style;
+                else
+                    EXPECT_EQ(got, expect)
+                        << "t=" << t << " k=" << k << " style=" << style;
+            }
+        }
+    }
+}
+
+TEST(EagerPrediction, NanScoresKeepExactlyKeepK)
+{
+    // NaN ranks below every number. A row whose keep_k-th largest is
+    // NaN has every entry at or above its threshold, so the lowest
+    // keep_k columns stay — the same trim that breaks ties.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const Matrix pred = makeScores({{nan, 5.0f, nan, 3.0f},
+                                    {nan, nan, nan, nan},
+                                    {4.0f, nan, 2.0f, 1.0f}});
+    EpConfig ep{1e9, 0.5};
+    const HeadDecision dec = decideFromPrediction(pred, ep);
+    for (Index r = 0; r < 3; ++r)
+        EXPECT_FALSE(dec.oneHot[r]) << r;
+    // keep_k = 2: row 0's top two are numbers.
+    EXPECT_FALSE(dec.keep.get(0, 0));
+    EXPECT_TRUE(dec.keep.get(0, 1));
+    EXPECT_FALSE(dec.keep.get(0, 2));
+    EXPECT_TRUE(dec.keep.get(0, 3));
+    EXPECT_TRUE(dec.keep.get(1, 0));
+    EXPECT_TRUE(dec.keep.get(1, 1));
+    EXPECT_FALSE(dec.keep.get(1, 2));
+    EXPECT_TRUE(dec.keep.get(2, 0));
+    EXPECT_TRUE(dec.keep.get(2, 2));
+    EXPECT_FALSE(dec.keep.get(2, 1));
+
+    ep.topK = 0.75; // keep_k = 3: row 0's third largest is NaN
+    const HeadDecision all = decideFromPrediction(pred, ep);
+    EXPECT_TRUE(all.keep.get(0, 0));
+    EXPECT_TRUE(all.keep.get(0, 1));
+    EXPECT_TRUE(all.keep.get(0, 2));
+    EXPECT_FALSE(all.keep.get(0, 3));
+}
 
 } // namespace
 } // namespace exion

@@ -12,7 +12,6 @@
 #ifndef EXION_MODEL_PIPELINE_H_
 #define EXION_MODEL_PIPELINE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -34,29 +33,11 @@ struct RunOptions
 {
     /** Seed for the initial Gaussian latent. */
     u64 noiseSeed = 7;
-    /** Optional per-iteration hook (iteration index, current latent). */
-    std::function<void(int, const Matrix &)> onIteration;
     /**
-     * Optional cooperative-cancellation flag. Polled at every
-     * iteration boundary: once it reads true, the run stops before
-     * the next iteration and the outcome reports cancelled. The flag
-     * is typically set from another thread; a null pointer disables
-     * polling (and changes nothing about the run's numerics).
+     * Optional per-iteration hook, called after each iteration with
+     * its 0-based index and the latent it produced.
      */
-    const std::atomic<bool> *cancel = nullptr;
-};
-
-/**
- * Result of a cancellable run: the latent as of the last completed
- * iteration, how many iterations ran, and whether cancellation cut
- * the run short (in which case the latent is a partial denoising, not
- * a valid output).
- */
-struct RunOutcome
-{
-    Matrix latent;
-    int iterations = 0;
-    bool cancelled = false;
+    std::function<void(int, const Matrix &)> onIteration;
 };
 
 /**
@@ -64,10 +45,10 @@ struct RunOutcome
  *
  * After construction the pipeline is immutable (all weights fixed);
  * run() is const and safe to call from multiple threads concurrently
- * as long as each caller brings its own executor. The legacy
- * onIteration member is the single exception — installing it on a
- * shared pipeline is a single-stream convenience; concurrent callers
- * pass their hook via RunOptions instead.
+ * as long as each caller brings its own executor. Everything that
+ * varies per run, the iteration hook included, comes in RunOptions.
+ * Serving (BatchEngine) steps every request through CohortRun; run()
+ * is the solo reference loop that cohorts are checked against.
  */
 class DiffusionPipeline
 {
@@ -97,17 +78,9 @@ class DiffusionPipeline
      * Runs the full reverse process with per-request options.
      *
      * Thread-safe: touches no pipeline state besides the immutable
-     * network/scheduler and ignores the legacy onIteration member.
+     * network/scheduler.
      */
     Matrix run(BlockExecutor &exec, const RunOptions &opts) const;
-
-    /**
-     * Cancellable run: like run(), but polls opts.cancel at every
-     * iteration boundary and reports how far the run got. Without a
-     * cancel flag the outcome's latent is bit-identical to run().
-     */
-    RunOutcome runCancellable(BlockExecutor &exec,
-                              const RunOptions &opts) const;
 
     /**
      * Convenience cohort run: steps all seeds to completion together
@@ -117,12 +90,6 @@ class DiffusionPipeline
      */
     std::vector<Matrix> runCohort(CohortBlockExecutor &exec,
                                   const std::vector<u64> &seeds) const;
-
-    /**
-     * Optional per-iteration hook (iteration index, current latent).
-     * Single-stream use only; see RunOptions for concurrent runs.
-     */
-    std::function<void(int, const Matrix &)> onIteration;
 
     /** Underlying network. */
     const DenoisingNetwork &network() const { return network_; }

@@ -199,19 +199,7 @@ BatchEngine::suggestedBackoff(Priority cls) const
 Ticket
 BatchEngine::submit(const ServeRequest &req)
 {
-    return submitImpl(req, /*to_queue=*/true);
-}
-
-SubmitOutcome
-BatchEngine::trySubmit(const ServeRequest &req)
-{
-    return submitOutcome(req, /*to_queue=*/true);
-}
-
-Ticket
-BatchEngine::submitImpl(const ServeRequest &req, bool to_queue)
-{
-    SubmitOutcome outcome = submitOutcome(req, to_queue);
+    SubmitOutcome outcome = trySubmit(req);
     if (outcome.accepted())
         return std::move(outcome.ticket);
     switch (*outcome.reason) {
@@ -233,7 +221,7 @@ BatchEngine::submitImpl(const ServeRequest &req, bool to_queue)
 }
 
 SubmitOutcome
-BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
+BatchEngine::trySubmit(const ServeRequest &req)
 {
     const Priority cls = req.priority;
     std::unique_lock<std::mutex> lock(mutex_);
@@ -295,14 +283,14 @@ BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
     auto flag = std::make_shared<std::atomic<bool>>(false);
     const auto pending_it =
         pending_
-            .emplace(ticket_id, Pending{promise, req, cls, 0, pool_prio,
-                                        to_queue, enqueued, flag})
+            .emplace(ticket_id,
+                     Pending{promise, req, cls, 0, pool_prio, enqueued, flag})
             .first;
 
     u64 token = 0;
     try {
         token = pool_.postTagged(
-            [this, promise, to_queue, ticket_id, enqueued]() {
+            [this, promise, ticket_id, enqueued]() {
                 // Claim the pending entry: move the request and its
                 // submission-time cancellation flag out (instead of a
                 // third ServeRequest copy in this closure) and
@@ -313,7 +301,6 @@ BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
                 CohortMember member;
                 member.promise = promise;
                 member.enqueued = enqueued;
-                member.toQueue = to_queue;
                 member.ticketId = ticket_id;
                 {
                     std::lock_guard<std::mutex> inner(mutex_);
@@ -334,29 +321,7 @@ BatchEngine::submitOutcome(const ServeRequest &req, bool to_queue)
                     std::chrono::duration<double>(started_at - enqueued)
                         .count());
                 member.startedAt = started_at;
-
-                if (opts_.cohortBatching) {
-                    runCohort(std::move(member));
-                    return;
-                }
-
-                RequestResult result;
-                std::exception_ptr failure;
-                try {
-                    result = runOne(member.req,
-                                    member.cancelFlag.get());
-                } catch (const std::exception &e) {
-                    failure = std::current_exception();
-                    result = RequestResult{};
-                    result.id = member.req.id;
-                    result.error = e.what();
-                } catch (...) {
-                    failure = std::current_exception();
-                    result = RequestResult{};
-                    result.id = member.req.id;
-                    result.error = "unknown error";
-                }
-                deliver(member, std::move(result), failure);
+                runCohort(std::move(member));
             },
             pool_prio, classIndex(cls));
     } catch (...) {
@@ -387,9 +352,9 @@ BatchEngine::cancelTicket(u64 ticket_id)
     const auto it = pending_.find(ticket_id);
     if (it == pending_.end()) {
         // Not queued: maybe running. Cooperative cancellation —
-        // signal the executing worker (or its cohort leader), which
-        // polls the flag at every iteration boundary and settles the
-        // ticket with a `cancelled` result when it stops. exchange()
+        // signal the request's cohort leader, which polls the flag at
+        // every iteration boundary and settles the ticket with a
+        // `cancelled` result when it drops the request. exchange()
         // makes a second cancel() report false.
         const auto rit = running_.find(ticket_id);
         if (rit == running_.end())
@@ -453,7 +418,7 @@ BatchEngine::deliver(const CohortMember &member, RequestResult result,
                            result.id, "; ignoring");
             }
         }
-        if (member.toQueue && opts_.queueResults) {
+        if (opts_.queueResults) {
             try {
                 // Blocks on a bounded queue until a consumer pops:
                 // unpopped results throttle the workers.
@@ -541,7 +506,6 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take)
         member.req = std::move(pending.req);
         member.promise = std::move(pending.promise);
         member.enqueued = pending.enqueued;
-        member.toQueue = pending.toQueue;
         member.ticketId = id;
         member.cancelFlag = std::move(pending.cancelFlag);
         member.startedAt = started_at;
@@ -563,43 +527,57 @@ BatchEngine::absorbCohortPeers(const ServeRequest &key, Index max_take)
 void
 BatchEngine::runCohort(CohortMember first)
 {
-    const DiffusionPipeline *pipe_ptr = nullptr;
+    // Slot ids are join order, so members[slot] is the member. Held
+    // outside the try: a failure anywhere below (set-up, a join, a
+    // poisoned forward, a throwing progress hook) fails every member
+    // not yet delivered with the original error.
+    std::vector<std::unique_ptr<CohortMember>> members;
+    members.push_back(std::make_unique<CohortMember>(std::move(first)));
     try {
-        pipe_ptr = &pipeline(first.req.benchmark);
-    } catch (const std::exception &e) {
-        // Unreachable today (submit validates registration and models
-        // are only ever replaced), but an escaping exception would
-        // take down the worker thread — fail the request instead.
+        stepCohort(members);
+    } catch (...) {
         const std::exception_ptr failure = std::current_exception();
-        RequestResult result;
-        result.id = first.req.id;
-        result.error = e.what();
-        deliver(first, std::move(result), failure);
-        return;
+        std::string what = "unknown error";
+        try {
+            std::rethrow_exception(failure);
+        } catch (const std::exception &e) {
+            what = e.what();
+        } catch (...) {
+        }
+        for (auto &mp : members) {
+            if (mp->delivered)
+                continue;
+            RequestResult result;
+            result.id = mp->req.id;
+            result.error = what;
+            mp->delivered = true;
+            deliver(*mp, std::move(result), failure);
+            mp->ctx.reset();
+        }
     }
-    const DiffusionPipeline &pipe = *pipe_ptr;
-    const ModelConfig &cfg = pipe.config();
-    const ExecMode mode = first.req.mode;
+}
+
+void
+BatchEngine::stepCohort(std::vector<std::unique_ptr<CohortMember>> &members)
+{
+    const ServeRequest &key = members.front()->req;
+    const DiffusionPipeline &pipe = pipeline(key.benchmark);
     const bool ffnr =
-        mode == ExecMode::FfnReuseOnly || mode == ExecMode::Exion;
-    const bool ep = mode == ExecMode::EpOnly || mode == ExecMode::Exion;
-    SparseExecutor::Options cohort_opts = SparseExecutor::fromConfig(
-        cfg, ffnr, ep, first.req.quantize);
+        key.mode == ExecMode::FfnReuseOnly || key.mode == ExecMode::Exion;
+    const bool ep = key.mode == ExecMode::EpOnly || key.mode == ExecMode::Exion;
+    SparseExecutor::Options cohort_opts =
+        SparseExecutor::fromConfig(pipe.config(), ffnr, ep, key.quantize);
     cohort_opts.gemm = opts_.gemmBackend;
     cohort_opts.simd = opts_.simdTier;
     cohort_opts.tp = tpContext();
     CohortExecutor exec(cohort_opts);
     CohortRun run(pipe, exec);
 
-    // Slot ids are join order, so members_[slot] is the member.
-    std::vector<std::unique_ptr<CohortMember>> members;
-    const auto admit = [&](CohortMember &&m) {
-        members.push_back(
-            std::make_unique<CohortMember>(std::move(m)));
-        CohortMember &mem = *members.back();
+    const auto join = [&](CohortMember &mem) {
         mem.ctx = std::make_unique<RequestContext>();
         mem.slot = run.join(mem.req.noiseSeed);
-        EXION_ASSERT(mem.slot + 1 == members.size(),
+        EXION_ASSERT(mem.slot < members.size()
+                         && members[mem.slot].get() == &mem,
                      "cohort slot ", mem.slot, " out of join order");
         exec.attachSlot(mem.slot, mem.ctx->exec, mem.ctx->ffn);
         if (mem.req.trackConMerge && ffnr) {
@@ -610,123 +588,102 @@ BatchEngine::runCohort(CohortMember first)
                 };
         }
     };
+    join(*members.front());
+
+    // Without batching this is a cohort of one: it absorbs no peers,
+    // lingers in no formation window and is not published, so
+    // cohortOccupancy() reports no running rows for such an engine.
+    const bool batching = opts_.cohortBatching;
     const Index max_rows = std::max<Index>(1, opts_.cohortMaxRows);
-    const ServeRequest key = first.req;
-    admit(std::move(first));
 
     // Publish this cohort's key and live row count for
     // cohortOccupancy() (the router's affinity signal); erased on
     // every exit path, including a poisoned iteration.
-    u64 cohort_id = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        cohort_id = nextCohortInstance_++;
-        activeCohorts_.emplace(
-            cohort_id, ActiveCohort{key.benchmark, key.mode,
-                                    key.quantize, run.activeCount()});
-    }
     struct CohortRegistration
     {
         BatchEngine *engine;
-        u64 id;
+        u64 id = 0; //!< 0 = not published
         ~CohortRegistration()
         {
+            if (id == 0)
+                return;
             std::lock_guard<std::mutex> lock(engine->mutex_);
             engine->activeCohorts_.erase(id);
         }
-    } registration{this, cohort_id};
-    const auto publish_rows = [&]() {
+    } registration{this};
+    if (batching) {
         std::lock_guard<std::mutex> lock(mutex_);
-        activeCohorts_[cohort_id].activeRows = run.activeCount();
-    };
+        registration.id = nextCohortInstance_++;
+        activeCohorts_.emplace(
+            registration.id, ActiveCohort{key.benchmark, key.mode,
+                                          key.quantize, run.activeCount()});
+    }
 
     const auto absorb = [&]() {
+        if (!batching)
+            return;
+        // Every absorbed member is held in members before any joins,
+        // so a failing join still leaves all of them to be failed.
         const Index space = max_rows - std::min(max_rows,
                                                 run.activeCount());
+        const Index first_new = members.size();
         for (CohortMember &m : absorbCohortPeers(key, space))
-            admit(std::move(m));
-        publish_rows();
+            members.push_back(
+                std::make_unique<CohortMember>(std::move(m)));
+        for (Index i = first_new; i < members.size(); ++i)
+            join(*members[i]);
+        std::lock_guard<std::mutex> lock(mutex_);
+        activeCohorts_[registration.id].activeRows = run.activeCount();
     };
     absorb();
 
     // Formation window: linger for same-key submissions before the
     // first step. Boundary absorption below picks up anything later.
-    if (opts_.cohortWindowSeconds > 0.0) {
+    if (batching && opts_.cohortWindowSeconds > 0.0) {
         const auto window_deadline = std::chrono::steady_clock::now()
             + std::chrono::duration_cast<
                 std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(
                     opts_.cohortWindowSeconds));
         while (run.activeCount() < max_rows) {
-            bool stop;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
                 if (stopped_
                     || cohortCv_.wait_until(lock, window_deadline)
-                        == std::cv_status::timeout)
+                        == std::cv_status::timeout
+                    || stopped_)
                     break;
-                stop = stopped_;
             }
-            if (stop)
-                break;
             absorb();
         }
         absorb();
     }
 
-    const auto deliver_cancelled = [&](CohortMember &m) {
-        run.leave(m.slot);
-        exec.releaseSlot(m.slot);
-        RequestResult result;
-        result.id = m.req.id;
-        result.cancelled = true;
-        result.error = "cancelled";
-        m.delivered = true;
-        deliver(m, std::move(result), nullptr);
-        m.ctx.reset();
-    };
-
     while (!run.done()) {
         // Cooperative cancellation: drop flagged members before the
-        // next iteration — the cohort analogue of the solo boundary
-        // poll. Removing a row never perturbs the other members.
+        // next iteration. Removing a row never perturbs the other
+        // members.
         for (auto &mp : members) {
-            if (!mp->delivered && run.isActive(mp->slot)
-                && mp->cancelFlag->load(std::memory_order_relaxed))
-                deliver_cancelled(*mp);
+            CohortMember &m = *mp;
+            if (m.delivered || !run.isActive(m.slot)
+                || !m.cancelFlag->load(std::memory_order_relaxed))
+                continue;
+            run.leave(m.slot);
+            exec.releaseSlot(m.slot);
+            RequestResult result;
+            result.id = m.req.id;
+            result.cancelled = true;
+            result.error = "cancelled";
+            m.delivered = true;
+            deliver(m, std::move(result), nullptr);
+            m.ctx.reset();
         }
         if (run.done())
             break;
 
-        std::vector<Index> finished;
-        try {
-            finished = run.step();
-        } catch (...) {
-            // A failed forward poisons the whole stacked iteration:
-            // fail every undelivered member with the original error.
-            const std::exception_ptr failure = std::current_exception();
-            std::string what = "unknown error";
-            try {
-                std::rethrow_exception(failure);
-            } catch (const std::exception &e) {
-                what = e.what();
-            } catch (...) {
-            }
-            for (auto &mp : members) {
-                if (mp->delivered)
-                    continue;
-                RequestResult result;
-                result.id = mp->req.id;
-                result.error = what;
-                mp->delivered = true;
-                deliver(*mp, std::move(result), failure);
-                mp->ctx.reset();
-            }
-            return;
-        }
+        const std::vector<Index> finished = run.step();
 
-        // Progress hooks fire after the iteration, like the solo
-        // path's per-iteration hook.
+        // Progress hooks fire after the iteration.
         for (auto &mp : members) {
             if (mp->delivered || !mp->req.onProgress)
                 continue;
@@ -869,119 +826,51 @@ BatchEngine::shutdown()
 }
 
 std::vector<RequestResult>
-BatchEngine::runBatch(const std::vector<ServeRequest> &requests)
-{
-    std::vector<Ticket> tickets;
-    tickets.reserve(requests.size());
-    try {
-        for (const ServeRequest &req : requests)
-            tickets.push_back(submitImpl(req, /*to_queue=*/false));
-    } catch (...) {
-        // Admission (or shutdown) refused a request mid-batch: the
-        // already-admitted prefix still runs, so drain it — no work
-        // or result delivery abandoned — then surface the refusal.
-        for (Ticket &t : tickets) {
-            try {
-                t.get();
-            } catch (...) {
-            }
-        }
-        throw;
-    }
-    std::vector<RequestResult> results;
-    results.reserve(requests.size());
-    // Drain every ticket even if one throws, so no in-flight work is
-    // abandoned; then report the first failure with its request id.
-    std::exception_ptr first_error;
-    u64 failed_id = 0;
-    for (Index i = 0; i < tickets.size(); ++i) {
-        try {
-            results.push_back(tickets[i].get());
-        } catch (...) {
-            if (!first_error) {
-                first_error = std::current_exception();
-                failed_id = requests[i].id;
-            }
-        }
-    }
-    if (first_error) {
-        EXION_WARN("batch request ", failed_id,
-                   " failed; rethrowing its error");
-        std::rethrow_exception(first_error);
-    }
-    return results;
-}
-
-std::vector<RequestResult>
 BatchEngine::runSequential(const std::vector<ServeRequest> &requests)
 {
     std::vector<RequestResult> results;
     results.reserve(requests.size());
-    for (const ServeRequest &req : requests)
-        results.push_back(runOne(req, /*cancel=*/nullptr));
-    return results;
-}
-
-RequestResult
-BatchEngine::runOne(const ServeRequest &req,
-                    const std::atomic<bool> *cancel) const
-{
-    const DiffusionPipeline &pipe = pipeline(req.benchmark);
-    const ModelConfig &cfg = pipe.config();
-
-    RequestContext ctx;
-    std::unique_ptr<BlockExecutor> exec;
-    if (req.mode == ExecMode::Dense) {
-        auto dense = std::make_unique<DenseExecutor>(
-            req.quantize, opts_.gemmBackend, opts_.simdTier,
-            tpContext());
-        dense->bindContext(ctx.exec);
-        exec = std::move(dense);
-    } else {
-        const bool ffnr = req.mode != ExecMode::EpOnly;
-        const bool ep = req.mode != ExecMode::FfnReuseOnly;
-        SparseExecutor::Options sparse_opts =
-            SparseExecutor::fromConfig(cfg, ffnr, ep, req.quantize);
-        sparse_opts.gemm = opts_.gemmBackend;
-        sparse_opts.simd = opts_.simdTier;
-        sparse_opts.tp = tpContext();
-        auto sparse = std::make_unique<SparseExecutor>(sparse_opts);
-        sparse->bindRequestState(ctx.exec, ctx.ffn);
-        if (req.trackConMerge && ffnr) {
-            sparse->observers.onFfnMask =
-                [this, &ctx](int, const Bitmask2D &mask, bool) {
-                    conmergePipe_.processMaskInto(mask, ctx.conmerge);
-                };
+    for (const ServeRequest &req : requests) {
+        const DiffusionPipeline &pipe = pipeline(req.benchmark);
+        RequestContext ctx;
+        std::unique_ptr<BlockExecutor> exec;
+        if (req.mode == ExecMode::Dense) {
+            auto dense = std::make_unique<DenseExecutor>(
+                req.quantize, opts_.gemmBackend, opts_.simdTier,
+                tpContext());
+            dense->bindContext(ctx.exec);
+            exec = std::move(dense);
+        } else {
+            const bool ffnr = req.mode != ExecMode::EpOnly;
+            const bool ep = req.mode != ExecMode::FfnReuseOnly;
+            SparseExecutor::Options sparse_opts = SparseExecutor::fromConfig(
+                pipe.config(), ffnr, ep, req.quantize);
+            sparse_opts.gemm = opts_.gemmBackend;
+            sparse_opts.simd = opts_.simdTier;
+            sparse_opts.tp = tpContext();
+            auto sparse = std::make_unique<SparseExecutor>(sparse_opts);
+            sparse->bindRequestState(ctx.exec, ctx.ffn);
+            if (req.trackConMerge && ffnr) {
+                sparse->observers.onFfnMask =
+                    [this, &ctx](int, const Bitmask2D &mask, bool) {
+                        conmergePipe_.processMaskInto(mask, ctx.conmerge);
+                    };
+            }
+            exec = std::move(sparse);
         }
-        exec = std::move(sparse);
-    }
 
-    RunOptions opts;
-    opts.noiseSeed = req.noiseSeed;
-    opts.cancel = cancel;
-    if (req.onProgress)
-        opts.onIteration = [&req](int i, const Matrix &) {
-            req.onProgress(i);
-        };
-
-    const auto start = std::chrono::steady_clock::now();
-    RunOutcome outcome = pipe.runCancellable(*exec, opts);
-    const auto stop = std::chrono::steady_clock::now();
-
-    RequestResult result;
-    result.id = req.id;
-    if (outcome.cancelled) {
-        // The partial latent is not a valid output; drop it.
-        result.cancelled = true;
-        result.error = "cancelled";
-    } else {
-        result.output = std::move(outcome.latent);
+        const auto start = std::chrono::steady_clock::now();
+        RequestResult result;
+        result.id = req.id;
+        result.output = pipe.run(*exec, req.noiseSeed);
+        result.seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
         result.stats = ctx.exec.stats;
         result.conmerge = ctx.conmerge;
+        results.push_back(std::move(result));
     }
-    result.seconds =
-        std::chrono::duration<double>(stop - start).count();
-    return result;
+    return results;
 }
 
 } // namespace exion

@@ -113,10 +113,10 @@ class Ticket
      * marked `cancelled` (error = "cancelled"; the completion
      * callback and the result queue are not fed — the request never
      * ran). A request that already started is cancelled
-     * cooperatively: the executing worker (or its cohort leader)
-     * polls the flag at every iteration boundary and stops the run at
-     * the next one, settling the ticket with a `cancelled` result; a
-     * request past its last boundary completes normally.
+     * cooperatively: the worker leading its cohort polls the flag at
+     * every iteration boundary and drops the request at the next
+     * one, settling the ticket with a `cancelled` result; a request
+     * past its last boundary completes normally.
      *
      * @return true when the request was dequeued or the running
      *         request was signalled; false when it already completed,
@@ -227,11 +227,18 @@ class ServeBackend
  * explicit: Options::admission bounds the ready queue per priority
  * class and sheds low classes under load, trySubmit() reports the
  * decision as a value, and snapshot() exposes the counters the
- * decisions feed. runBatch() remains as a synchronous compatibility
- * wrapper (a submit-all barrier that blocks until the whole batch
- * finishes). Request execution is deterministic: a request's result
- * depends only on the request and the registered weights, never on
- * worker count, priorities, scheduling order or admission policy.
+ * decisions feed.
+ *
+ * There is one execution path: the worker that starts a request
+ * leads a cohort (CohortRun over a CohortExecutor) seeded with it.
+ * With Options::cohortBatching off that cohort has one row, absorbs
+ * no peers and has no formation window; with it on the cohort also
+ * takes in queued same-key requests. Cancellation, progress hooks,
+ * ConMerge tracking and failure delivery are therefore written once.
+ * Request execution is deterministic: a request's result depends
+ * only on the request and the registered weights, never on worker
+ * count, priorities, scheduling order, cohort membership or
+ * admission policy (runSequential() is the byte reference).
  */
 class BatchEngine : public ServeBackend
 {
@@ -268,14 +275,16 @@ class BatchEngine : public ServeBackend
          */
         AdmissionConfig admission;
         /**
-         * Cohort batching: when a worker starts a request, it pulls
-         * queued requests with the same (benchmark, mode, quantize)
-         * out of the ready queue — at start and again at every
-         * iteration boundary — and steps them together with their
-         * latents stacked into one tall matrix per iteration, so the
-         * MMULs traverse each weight matrix once per cohort instead
-         * of once per request. Results stay bit-identical to solo
-         * runs (per-request sparsity state and accounting are row-
+         * Cohort batching: whether a cohort absorbs peers. Every
+         * request runs as a cohort led by the worker that starts it;
+         * off, that cohort stays a cohort of one. On, the leader
+         * pulls queued requests with the same (benchmark, mode,
+         * quantize) out of the ready queue — at start and again at
+         * every iteration boundary — and steps them together with
+         * their latents stacked into one tall matrix per iteration,
+         * so the MMULs traverse each weight matrix once per cohort
+         * instead of once per request. Results stay bit-identical to
+         * solo runs (per-request sparsity state and accounting are row-
          * partitioned); admission and priority semantics are
          * unchanged — the pool still starts the highest-priority
          * ready request, which therefore leads the cohort, later
@@ -448,8 +457,8 @@ class BatchEngine : public ServeBackend
 
     /**
      * Completion queue fed by every submit() (unless
-     * Options::queueResults is off). runBatch() requests and
-     * cancelled requests do not appear here.
+     * Options::queueResults is off). Cancelled requests do not
+     * appear here.
      */
     ResultQueue &results() { return results_; }
 
@@ -473,8 +482,9 @@ class BatchEngine : public ServeBackend
      * rows of live cohorts stepping that key; spareRows is the
      * unfilled capacity of those cohorts (rows a routed request could
      * occupy at the next iteration boundary without waiting for a
-     * free worker). Only meaningful with cohortBatching on — running
-     * and spareRows stay 0 otherwise.
+     * free worker). Only meaningful with cohortBatching on — an
+     * engine without it publishes none of its cohorts of one, so
+     * running and spareRows stay 0.
      */
     struct CohortOccupancy
     {
@@ -537,25 +547,11 @@ class BatchEngine : public ServeBackend
     void shutdown() override;
 
     /**
-     * Compatibility wrapper around submit(): enqueues the whole batch
-     * and blocks until every request finishes (a full barrier — a
-     * slow request holds the return, which is exactly what submit()
-     * avoids). Results are returned in request order. All-or-nothing:
-     * if any request throws, every ticket is still drained (no
-     * abandoned work) and the first failure is rethrown; likewise, if
-     * admission refuses a request mid-batch (a bounded engine under
-     * load), the already-admitted prefix is drained before the
-     * refusal propagates. Callers needing per-request error handling,
-     * per-request admission outcomes or streaming completion use
-     * submit()/trySubmit() and the Ticket / callback / results()
-     * surfaces.
-     */
-    std::vector<RequestResult> runBatch(
-        const std::vector<ServeRequest> &requests);
-
-    /**
-     * Reference single-stream path: runs the batch on the calling
-     * thread, one request at a time. Bit-identical to runBatch().
+     * Reference single-stream path: runs the requests on the calling
+     * thread, one at a time, each through a plain solo executor and
+     * DiffusionPipeline::run(). Outputs and ExecStats are
+     * bit-identical to submit()'s; progress hooks are not called.
+     * The byte reference the differential tests compare against.
      */
     std::vector<RequestResult> runSequential(
         const std::vector<ServeRequest> &requests);
@@ -578,7 +574,6 @@ class BatchEngine : public ServeBackend
         Priority cls = Priority::Normal;
         u64 poolToken = 0;
         i64 poolPrio = 0;
-        bool toQueue = true;
         std::chrono::steady_clock::time_point enqueued;
         /**
          * Created at submission and carried into execution, so a
@@ -595,7 +590,6 @@ class BatchEngine : public ServeBackend
         ServeRequest req;
         std::shared_ptr<std::promise<RequestResult>> promise;
         std::chrono::steady_clock::time_point enqueued;
-        bool toQueue = true;
         u64 ticketId = 0;
         std::shared_ptr<std::atomic<bool>> cancelFlag;
         std::chrono::steady_clock::time_point startedAt;
@@ -614,8 +608,6 @@ class BatchEngine : public ServeBackend
     /** Retry-after hint for a load-driven refusal of class cls. */
     double suggestedBackoff(Priority cls) const;
 
-    SubmitOutcome submitOutcome(const ServeRequest &req, bool to_queue);
-    Ticket submitImpl(const ServeRequest &req, bool to_queue);
     bool cancelTicket(u64 ticket_id);
 
     /**
@@ -624,8 +616,6 @@ class BatchEngine : public ServeBackend
      * case slice tasks fork onto pool_ via tpRunner_.
      */
     TpContext tpContext() const;
-    RequestResult runOne(const ServeRequest &req,
-                         const std::atomic<bool> *cancel) const;
 
     /**
      * Delivers one finished request: completion callback, results()
@@ -643,9 +633,15 @@ class BatchEngine : public ServeBackend
     std::vector<CohortMember> absorbCohortPeers(const ServeRequest &key,
                                                 Index max_take);
 
-    /** Leads a cohort seeded with first; returns when all members
-        it ever absorbed are delivered. */
+    /**
+     * Runs a started request: leads a cohort seeded with first and
+     * returns when every member it ever absorbed is delivered. Any
+     * exception fails every member not yet delivered.
+     */
     void runCohort(CohortMember first);
+
+    /** runCohort()'s body: set-up, absorption and the step loop. */
+    void stepCohort(std::vector<std::unique_ptr<CohortMember>> &members);
 
     /**
      * One live cohort, published for cohortOccupancy(): its key and

@@ -96,7 +96,9 @@ struct ServeRequest
      * for streaming previews or for cancelling a started request
      * (Ticket::cancel() from inside the hook stops the run at the
      * next iteration boundary). Must not block; it runs on the hot
-     * path of the executing worker.
+     * path of the executing worker. Should not throw: an escaped
+     * exception fails every unfinished request of the cohort it
+     * fired in.
      */
     std::function<void(int iteration)> onProgress;
 };
@@ -117,7 +119,12 @@ struct RequestResult
     Matrix output;
     ExecStats stats;
     ConMergeStats conmerge;
-    /** Wall-clock seconds spent executing the request. */
+    /**
+     * Wall-clock seconds from the moment a worker started the request
+     * (its cohort leader took it off the ready queue) to its
+     * completion, executor set-up included. runSequential() measures
+     * the denoising loop alone.
+     */
     double seconds = 0.0;
     /** Failure description; empty on success. */
     std::string error;

@@ -109,16 +109,16 @@ namespace
 /** Computes the non-linear hidden activation densely. */
 Matrix
 denseHidden(const TransformerBlock &blk, const Matrix &x_norm,
-            bool quantize, GemmBackend backend, const TpContext &tp)
+            bool quantize, GemmBackend backend, SimdTier simd,
+            const TpContext &tp)
 {
     Matrix gate = execWeightMatmul(x_norm, blk.ffn1(), quantize,
-                                   backend, defaultSimdTier(), tp);
+                                   backend, simd, tp);
     addRowVector(gate, blk.ffn1().bias());
     Matrix hidden = gelu(gate);
     if (blk.geglu()) {
         Matrix value = execWeightMatmul(x_norm, blk.ffn1Value(),
-                                        quantize, backend,
-                                        defaultSimdTier(), tp);
+                                        quantize, backend, simd, tp);
         addRowVector(value, blk.ffn1Value().bias());
         for (Index i = 0; i < hidden.size(); ++i)
             hidden.data()[i] *= value.data()[i];
@@ -215,7 +215,8 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     const OpCount ffn1_dense =
         (blk.geglu() ? 2 : 1) * mmulOps(t, d, hid);
 
-    Matrix hidden = denseHidden(blk, x_norm, quantize_, backend_, tp_);
+    Matrix hidden = denseHidden(blk, x_norm, quantize_, backend_, simd_,
+                                tp_);
     stats.ffnOpsDense += ffn1_dense;
     stats.ffnOpsExecuted += ffn1_dense;
 
@@ -253,7 +254,7 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
         h_keep(r, c) = hidden(r, c);
     });
     st.psumSparse = execWeightMatmul(h_reuse, blk.ffn2(), quantize_,
-                                     backend_, defaultSimdTier(), tp_);
+                                     backend_, simd_, tp_);
     st.hiddenCache = std::move(hidden);
     st.initialized = true;
 
@@ -262,7 +263,7 @@ FfnReuse::runDense(const TransformerBlock &blk, const Matrix &x_norm,
     Matrix out = quantize_
         ? add(st.psumSparse,
               execWeightMatmul(h_keep, blk.ffn2(), quantize_,
-                               backend_, defaultSimdTier(), tp_))
+                               backend_, simd_, tp_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
                            blk.ffn2().weight(), simd_, tp_);
     addRowVector(out, blk.ffn2().bias());
@@ -348,7 +349,7 @@ FfnReuse::runSparse(const TransformerBlock &blk, const Matrix &x_norm,
     Matrix out = quantize_
         ? add(st.psumSparse,
               execWeightMatmul(h_keep, blk.ffn2(), quantize_,
-                               backend_, defaultSimdTier(), tp_))
+                               backend_, simd_, tp_))
         : addMaskedProduct(st.psumSparse, h_keep, st.mask,
                            blk.ffn2().weight(), simd_, tp_);
     addRowVector(out, blk.ffn2().bias());

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "exion/serve/batch_engine.h"
+#include "submit_all.h"
 
 namespace exion
 {
@@ -80,7 +82,7 @@ TEST(BatchEngine, BatchedMatchesSequentialBitExactly)
 
     const auto batch = mixedBatch(cfg.benchmark, 12);
     const auto sequential = engine.runSequential(batch);
-    const auto batched = engine.runBatch(batch);
+    const auto batched = submitAll(engine, batch);
     expectBitIdentical(sequential, batched);
 }
 
@@ -93,7 +95,7 @@ TEST(BatchEngine, RepeatedBatchesAreDeterministic)
     engine.addModel(cfg);
 
     const auto batch = mixedBatch(cfg.benchmark, 8);
-    expectBitIdentical(engine.runBatch(batch), engine.runBatch(batch));
+    expectBitIdentical(submitAll(engine, batch), submitAll(engine, batch));
 }
 
 TEST(BatchEngine, WorkerCountDoesNotChangeResults)
@@ -111,7 +113,8 @@ TEST(BatchEngine, WorkerCountDoesNotChangeResults)
     BatchEngine engine8(many);
     engine8.addModel(cfg);
 
-    expectBitIdentical(engine1.runBatch(batch), engine8.runBatch(batch));
+    expectBitIdentical(submitAll(engine1, batch),
+                       submitAll(engine8, batch));
 }
 
 TEST(BatchEngine, PrioritiesDoNotChangeResultsAtAnyWorkerCount)
@@ -137,7 +140,7 @@ TEST(BatchEngine, PrioritiesDoNotChangeResultsAtAnyWorkerCount)
         engine.addModel(cfg);
         if (reference.empty())
             reference = engine.runSequential(batch);
-        expectBitIdentical(reference, engine.runBatch(batch));
+        expectBitIdentical(reference, submitAll(engine, batch));
     }
 }
 
@@ -184,7 +187,7 @@ TEST(BatchEngine, SparseRequestsKeepIndependentReuseState)
     batch[1].id = 1;
     batch[1].noiseSeed = 2;
 
-    const auto results = engine.runBatch(batch);
+    const auto results = submitAll(engine, batch);
     for (int i = 0; i < 2; ++i) {
         DiffusionPipeline pipe(cfg);
         SparseExecutor exec(SparseExecutor::fromConfig(
@@ -236,7 +239,7 @@ TEST(BatchEngine, ResultsKeepRequestOrderAndIds)
     auto batch = mixedBatch(cfg.benchmark, 10);
     for (Index i = 0; i < batch.size(); ++i)
         batch[i].id = 1000 + static_cast<u64>(i);
-    const auto results = engine.runBatch(batch);
+    const auto results = submitAll(engine, batch);
     ASSERT_EQ(results.size(), batch.size());
     for (Index i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i].id, 1000 + static_cast<u64>(i));
@@ -259,7 +262,7 @@ TEST(BatchEngine, ServesMultipleModels)
     batch[0].benchmark = tiny.benchmark;
     batch[1].benchmark = other.benchmark;
     batch[1].id = 1;
-    const auto results = engine.runBatch(batch);
+    const auto results = submitAll(engine, batch);
     EXPECT_EQ(results[0].output.rows(), tiny.latentTokens);
     EXPECT_EQ(results[1].output.rows(), other.latentTokens);
 }
@@ -478,18 +481,6 @@ TEST(BatchEngine, ExtremeDeadlinesAreSafe)
     }
     for (const Ticket &t : tickets)
         EXPECT_TRUE(t.get().ok());
-}
-
-TEST(BatchEngine, RunBatchDoesNotFeedResultQueue)
-{
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 2;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    engine.runBatch(mixedBatch(cfg.benchmark, 4));
-    EXPECT_EQ(engine.results().size(), 0u);
 }
 
 TEST(BatchEngine, ShutdownDrainsPendingAndClosesQueue)
@@ -960,42 +951,6 @@ TEST(BatchEngine, BoundedResultQueueDeliversEverything)
         EXPECT_EQ(seen[i], static_cast<u64>(i));
 }
 
-TEST(BatchEngine, RunBatchOverAdmissionBoundFailsCleanly)
-{
-    // Regression: when admission refuses a request mid-batch,
-    // runBatch must drain the already-admitted prefix (no abandoned
-    // work, no lost delivery) before rethrowing — and the engine
-    // stays fully serviceable afterwards.
-    const ModelConfig cfg = tinyConfig();
-    BatchEngine::Options opts;
-    opts.workers = 1;
-    opts.admission.maxQueuedPerClass = 1;
-    BatchEngine engine(opts);
-    engine.addModel(cfg);
-
-    engine.pause(); // guarantees the second submission hits the bound
-    const auto batch = mixedBatch(cfg.benchmark, 4);
-    std::thread batcher([&]() {
-        EXPECT_THROW(engine.runBatch(batch), AdmissionRejected);
-    });
-    // Wait for the refusal: the admitted prefix (1 request) is in
-    // flight, the thread is draining it, blocked on the paused pool.
-    while (engine.snapshot().rejected() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    engine.resume();
-    batcher.join();
-    engine.waitIdle();
-
-    const EngineMetrics m = engine.snapshot();
-    EXPECT_EQ(m.accepted(), 1u);
-    EXPECT_EQ(m.completed(), 1u);
-
-    // Still serviceable: a whole batch fits once the queue drains.
-    ServeRequest req;
-    req.benchmark = cfg.benchmark;
-    EXPECT_TRUE(engine.submit(req).get().ok());
-}
-
 TEST(BatchEngine, TrySubmitAfterShutdownReportsStopped)
 {
     const ModelConfig cfg = tinyConfig();
@@ -1056,7 +1011,7 @@ TEST(BatchEngine, CohortBatchingKeepsBitIdentity)
         engine.addModel(cfg);
         if (reference.empty())
             reference = engine.runSequential(batch);
-        expectBitIdentical(reference, engine.runBatch(batch));
+        expectBitIdentical(reference, submitAll(engine, batch));
     }
 }
 
@@ -1425,6 +1380,95 @@ TEST(BatchEngine, ProgressHookReportsEveryIteration)
     EXPECT_TRUE(engine.submit(req).get().ok());
     const std::vector<int> expected = {0, 1, 2, 3, 4, 5};
     EXPECT_EQ(seen, expected);
+}
+
+TEST(BatchEngine, ThrowingProgressHookFailsItsRequest)
+{
+    // One failure path for both settings: an exception escaping a
+    // request's progress hook fails that request's ticket with the
+    // original error, is counted, and leaves the engine serving.
+    const ModelConfig cfg = tinyConfig();
+    for (bool batching : {false, true}) {
+        SCOPED_TRACE(batching ? "batching" : "solo");
+        BatchEngine::Options opts;
+        opts.workers = 1;
+        opts.cohortBatching = batching;
+        BatchEngine engine(opts);
+        engine.addModel(cfg);
+
+        ServeRequest bad;
+        bad.benchmark = cfg.benchmark;
+        bad.onProgress = [](int iteration) {
+            if (iteration == 1)
+                throw std::runtime_error("hook failed");
+        };
+        EXPECT_THROW(
+            {
+                try {
+                    engine.submit(bad).get();
+                } catch (const std::runtime_error &e) {
+                    EXPECT_STREQ(e.what(), "hook failed");
+                    throw;
+                }
+            },
+            std::runtime_error);
+        engine.waitIdle();
+        EXPECT_EQ(engine.snapshot().at(Priority::Normal).failed, 1u);
+
+        ServeRequest good;
+        good.benchmark = cfg.benchmark;
+        EXPECT_TRUE(engine.submit(good).get().ok());
+    }
+}
+
+TEST(BatchEngine, CohortOccupancyCountsOnlyBatchingCohorts)
+{
+    // The router's affinity signal: while a request runs, an engine
+    // with cohort batching reports its row and the spare ones; an
+    // engine without it runs the request as an unpublished cohort of
+    // one and reports neither.
+    const ModelConfig cfg = tinyConfig();
+    for (bool batching : {false, true}) {
+        SCOPED_TRACE(batching ? "batching" : "solo");
+        BatchEngine::Options opts;
+        opts.workers = 1;
+        opts.cohortBatching = batching;
+        opts.cohortMaxRows = 4;
+        BatchEngine engine(opts);
+        engine.addModel(cfg);
+
+        std::mutex mu;
+        std::condition_variable cv;
+        bool running = false;
+        bool checked = false;
+        ServeRequest req;
+        req.benchmark = cfg.benchmark;
+        req.mode = ExecMode::Exion;
+        req.onProgress = [&](int iteration) {
+            if (iteration != 0)
+                return;
+            std::unique_lock<std::mutex> lock(mu);
+            running = true;
+            cv.notify_all();
+            cv.wait(lock, [&] { return checked; });
+        };
+        const Ticket ticket = engine.submit(req);
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            cv.wait(lock, [&] { return running; });
+        }
+        const BatchEngine::CohortOccupancy occ =
+            engine.cohortOccupancy(req);
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            checked = true;
+        }
+        cv.notify_all();
+        EXPECT_EQ(occ.queued, 0u);
+        EXPECT_EQ(occ.running, batching ? 1u : 0u);
+        EXPECT_EQ(occ.spareRows, batching ? 3u : 0u);
+        EXPECT_TRUE(ticket.get().ok());
+    }
 }
 
 TEST(BatchEngine, QueueFullCarriesRetryAfterHint)

@@ -333,33 +333,5 @@ TEST(Cohort, MultiSegmentForwardMatchesPerSegment)
                      eb, "seg b");
 }
 
-TEST(Cohort, CancellableSoloRunStopsAtBoundary)
-{
-    const ModelConfig cfg = makeTinyConfig(8, 16, 2, 8);
-    const DiffusionPipeline pipe(cfg);
-    DenseExecutor exec;
-    std::atomic<bool> cancel{false};
-    RunOptions opts;
-    opts.noiseSeed = 3;
-    opts.cancel = &cancel;
-    opts.onIteration = [&cancel](int i, const Matrix &) {
-        if (i == 2)
-            cancel = true;
-    };
-    const RunOutcome outcome = pipe.runCancellable(exec, opts);
-    EXPECT_TRUE(outcome.cancelled);
-    EXPECT_EQ(outcome.iterations, 3);
-
-    // Without a flag the outcome matches run() bit for bit.
-    DenseExecutor fresh;
-    RunOptions plain;
-    plain.noiseSeed = 3;
-    const RunOutcome full = pipe.runCancellable(fresh, plain);
-    EXPECT_FALSE(full.cancelled);
-    EXPECT_EQ(full.iterations, cfg.iterations);
-    DenseExecutor ref;
-    expectSameMatrix(full.latent, pipe.run(ref, u64{3}), "full run");
-}
-
 } // namespace
 } // namespace exion

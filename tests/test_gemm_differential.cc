@@ -17,6 +17,7 @@
 #include "exion/serve/batch_engine.h"
 #include "exion/sparsity/cohort_executor.h"
 #include "exion/tensor/ops.h"
+#include "submit_all.h"
 
 namespace exion
 {
@@ -167,7 +168,7 @@ TEST(GemmDifferentialTest, EngineBlockedMatchesReferenceEngine)
         opts.gemmBackend = backend;
         BatchEngine engine(opts);
         engine.addModel(cfg);
-        return engine.runBatch(requests);
+        return submitAll(engine, requests);
     };
     const std::vector<RequestResult> ref =
         run_with(GemmBackend::Reference);

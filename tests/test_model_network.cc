@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "exion/common/rng.h"
 #include "exion/model/network.h"
@@ -196,11 +197,12 @@ TEST(Pipeline, IterationHookFires)
 {
     const ModelConfig cfg = makeTinyConfig(8, 16, 1, 5);
     DiffusionPipeline pipe(cfg);
-    int count = 0;
-    pipe.onIteration = [&](int, const Matrix &) { ++count; };
+    std::vector<int> seen;
+    RunOptions opts;
+    opts.onIteration = [&](int i, const Matrix &) { seen.push_back(i); };
     DenseExecutor exec;
-    pipe.run(exec);
-    EXPECT_EQ(count, 5);
+    pipe.run(exec, opts);
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(Pipeline, LatentEvolvesSmoothly)
@@ -209,11 +211,15 @@ TEST(Pipeline, LatentEvolvesSmoothly)
     const ModelConfig cfg = makeTinyConfig(8, 16, 2, 10);
     DiffusionPipeline pipe(cfg);
     std::vector<Matrix> latents;
-    pipe.onIteration = [&](int, const Matrix &x) {
+    RunOptions opts;
+    opts.onIteration = [&](int, const Matrix &x) {
         latents.push_back(x);
     };
     DenseExecutor exec;
-    pipe.run(exec);
+    const Matrix out = pipe.run(exec, opts);
+    ASSERT_EQ(latents.size(), 10u);
+    // The hook sees each iteration's latent; the last is the output.
+    EXPECT_EQ(latents.back(), out);
     for (std::size_t i = 2; i < latents.size(); ++i) {
         const double step_diff = frobeniusNorm(
             sub(latents[i], latents[i - 1]));

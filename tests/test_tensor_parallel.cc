@@ -20,6 +20,7 @@
 #include "exion/sparsity/cohort_executor.h"
 #include "exion/tensor/matmul_slice.h"
 #include "exion/tensor/ops.h"
+#include "submit_all.h"
 
 namespace exion
 {
@@ -323,7 +324,7 @@ TEST(TensorParallel, EngineMatchesSoloEngine)
     tped.addModel(cfg);
 
     const std::vector<RequestResult> seq = tped.runSequential(reqs);
-    const std::vector<RequestResult> par = tped.runBatch(reqs);
+    const std::vector<RequestResult> par = submitAll(tped, reqs);
     ASSERT_EQ(seq.size(), want.size());
     ASSERT_EQ(par.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
@@ -365,7 +366,7 @@ TEST(TensorParallel, EngineTpComposesWithCohortBatching)
     opts.cohortBatching = true;
     BatchEngine engine(opts);
     engine.addModel(cfg);
-    const std::vector<RequestResult> got = engine.runBatch(reqs);
+    const std::vector<RequestResult> got = submitAll(engine, reqs);
 
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {

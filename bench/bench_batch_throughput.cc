@@ -51,9 +51,11 @@
  * cohort batching: the same cohort-led stacked load at
  * tensorParallel = 1 vs 4 (override the slice count with --tp N),
  * with tp=4 outputs asserted byte-identical to tp=1 on every rep.
- * On hosts with >= 4 hardware threads the dense row is gated at a
- * 1.3x floor (see bench/README.md for the rationale); on smaller
- * hosts only the bit-identity gate applies.
+ * Its speedup is the median tp=4/tp=1 ratio over interleaved pairs,
+ * printed with its spread and a host line. On hosts with >= 4
+ * hardware threads the dense row is gated at a 1.3x floor (see
+ * bench/README.md for the rationale); on smaller hosts only the
+ * bit-identity gate applies.
  *
  *   ./build/bench/bench_batch_throughput [--quick]
  *                                        [--gemm reference|blocked]
@@ -150,6 +152,33 @@ percentile(const std::vector<double> &samples, double pct)
     const Index hi = std::min(lo + 1, samples.size() - 1);
     const double frac = rank - static_cast<double>(lo);
     return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+/**
+ * One-line host record for wall-clock rows: hardware threads, the
+ * active SIMD level and the CPU model from /proc/cpuinfo ("unknown"
+ * where that file is absent).
+ */
+std::string
+hostLine()
+{
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            const auto start = colon == std::string::npos
+                ? std::string::npos
+                : line.find_first_not_of(" \t", colon + 1);
+            if (start != std::string::npos)
+                cpu = line.substr(start);
+            break;
+        }
+    }
+    return "nproc " + std::to_string(std::max(
+               1u, std::thread::hardware_concurrency()))
+        + ", simd " + simdLevelName(activeSimdLevel()) + ", cpu "
+        + cpu;
 }
 
 /**
@@ -436,22 +465,28 @@ compareGemmBackends(const ModelConfig &cfg, ExecMode mode, int n,
     return cmp;
 }
 
-/** Tensor-parallel comparison row of the JSON artifact. */
+/**
+ * Tensor-parallel comparison row of the JSON artifact. Each of the
+ * `pairs` interleaved (tp=1, tp=N) runs yields one ratio
+ * tpN_rps / tp1_rps; the row reports their median as the speedup and
+ * their quartiles and extremes as its spread, so one lucky or unlucky
+ * pair moves neither the estimate nor the verdict.
+ */
 struct TpComparison
 {
     std::string mode;
     int requests = 0;
     int tp = 1;           //!< slice count of the TP run
-    double tp1Rps = 0.0;  //!< tensorParallel = 1
-    double tpNRps = 0.0;  //!< tensorParallel = tp
+    int pairs = 0;        //!< interleaved tp=1/tp=N pairs
+    double tp1Rps = 0.0;  //!< median over pairs, tensorParallel = 1
+    double tpNRps = 0.0;  //!< median over pairs, tensorParallel = tp
+    double ratioMin = 0.0, ratioP25 = 0.0, ratioMedian = 0.0,
+           ratioP75 = 0.0, ratioMax = 0.0; //!< per-pair ratios
     bool bitIdentical = false;
     /** Acceptance floor on speedup(); 0 when the gate is skipped. */
     double minSpeedup = 0.0;
 
-    double speedup() const
-    {
-        return tp1Rps > 0.0 ? tpNRps / tp1Rps : 0.0;
-    }
+    double speedup() const { return ratioMedian; }
 };
 
 struct TpRun
@@ -526,38 +561,50 @@ sameOutputs(const std::vector<Matrix> &a, const std::vector<Matrix> &b)
 }
 
 /**
- * tensorParallel = 1 vs N under cohort batching (interleaved
- * best-of-N). The slices repartition identical work, so the outputs
- * must match byte for byte on every rep — checked unconditionally,
- * even when the wall-clock gate is skipped on small hosts.
+ * tensorParallel = 1 vs N under cohort batching, as the median ratio
+ * over `pairs` interleaved pairs (see TpComparison). The slices
+ * repartition identical work, so the outputs must match byte for
+ * byte in every pair — checked unconditionally, even when the
+ * wall-clock gate is skipped on small hosts.
  */
 TpComparison
 compareTensorParallel(const ModelConfig &cfg, ExecMode mode, int n,
-                      int tp, Index max_rows, int reps,
+                      int tp, Index max_rows, int pairs,
                       bool &bit_identical)
 {
     TpComparison cmp;
     cmp.mode = execModeName(mode);
     cmp.requests = n;
     cmp.tp = tp;
-    double solo = 0.0;
-    double sliced = 0.0;
+    cmp.pairs = pairs;
+    std::vector<double> solo_rps, sliced_rps, ratios;
     bit_identical = true;
-    for (int rep = 0; rep < reps; ++rep) {
+    for (int pair = 0; pair < pairs; ++pair) {
         const TpRun solo_run =
             runTpLoad(cfg, mode, n, /*workers=*/tp, 1, max_rows);
         const TpRun tp_run =
             runTpLoad(cfg, mode, n, /*workers=*/tp, tp, max_rows);
-        if (solo_run.seconds > 0.0)
-            solo = solo == 0.0 ? solo_run.seconds
-                               : std::min(solo, solo_run.seconds);
-        if (tp_run.seconds > 0.0)
-            sliced = sliced == 0.0 ? tp_run.seconds
-                                   : std::min(sliced, tp_run.seconds);
         bit_identical &= sameOutputs(solo_run.outputs, tp_run.outputs);
+        // A failed run (no outputs) leaves no ratio; the caller's
+        // zero-throughput check catches a pair set with none.
+        if (solo_run.seconds <= 0.0 || tp_run.seconds <= 0.0)
+            continue;
+        solo_rps.push_back(n / solo_run.seconds);
+        sliced_rps.push_back(n / tp_run.seconds);
+        ratios.push_back(solo_run.seconds / tp_run.seconds);
     }
-    cmp.tp1Rps = solo > 0.0 ? n / solo : 0.0;
-    cmp.tpNRps = sliced > 0.0 ? n / sliced : 0.0;
+    std::sort(solo_rps.begin(), solo_rps.end());
+    std::sort(sliced_rps.begin(), sliced_rps.end());
+    std::sort(ratios.begin(), ratios.end());
+    cmp.tp1Rps = percentile(solo_rps, 50.0);
+    cmp.tpNRps = percentile(sliced_rps, 50.0);
+    if (!ratios.empty()) {
+        cmp.ratioMin = ratios.front();
+        cmp.ratioP25 = percentile(ratios, 25.0);
+        cmp.ratioMedian = percentile(ratios, 50.0);
+        cmp.ratioP75 = percentile(ratios, 75.0);
+        cmp.ratioMax = ratios.back();
+    }
     cmp.bitIdentical = bit_identical;
     return cmp;
 }
@@ -735,6 +782,7 @@ writeBenchJson(const std::string &path, const ModelConfig &cfg,
     out << "  },\n";
     out << "  \"tp\": {\n";
     out << "    \"gated\": " << (tp_gated ? "true" : "false") << ",\n";
+    out << "    \"host\": \"" << hostLine() << "\",\n";
     out << "    \"rows\": [\n";
     for (Index i = 0; i < tp_rows.size(); ++i) {
         const TpComparison &t = tp_rows[i];
@@ -743,7 +791,12 @@ writeBenchJson(const std::string &path, const ModelConfig &cfg,
             << ", \"tp\": " << t.tp << ", \"cohort\": true,\n"
             << "       \"tp1_rps\": " << t.tp1Rps
             << ", \"tp" << t.tp << "_rps\": " << t.tpNRps
+            << ", \"pairs\": " << t.pairs
             << ", \"speedup\": " << t.speedup()
+            << ", \"speedup_min\": " << t.ratioMin
+            << ", \"speedup_p25\": " << t.ratioP25
+            << ", \"speedup_p75\": " << t.ratioP75
+            << ", \"speedup_max\": " << t.ratioMax
             << ", \"min_speedup\": " << t.minSpeedup
             << ", \"bit_identical\": "
             << (t.bitIdentical ? "true" : "false") << "}"
@@ -986,20 +1039,25 @@ main(int argc, char **argv)
     const bool tp_gated =
         hw >= static_cast<unsigned>(tp_slices) && tp_slices == 4;
     const int tp_n = 8;
+    // Median ratio over interleaved pairs: an odd count, so the
+    // median is one measured pair, and enough pairs that neither a
+    // slow tp=1 run nor a fast tp=N run decides the verdict alone.
+    const int tp_pairs = quick ? 9 : 15;
     std::cout << "\n== tensor parallelism, cohort-on: " << tp_n
               << " same-model " << cohort_cfg.name
               << " (full-scale) requests, " << cohort_cfg.iterations
               << " iterations, tp=1 vs tp=" << tp_slices << " over "
-              << tp_slices << " workers"
+              << tp_slices << " workers, median of " << tp_pairs
+              << " interleaved pairs"
               << (tp_gated ? "" : " (wall-clock gate skipped: host has "
                                   "fewer than 4 hardware threads)")
-              << " ==\n";
+              << " ==\n"
+              << "host: " << hostLine() << "\n";
     std::vector<TpComparison> tp_rows;
     for (ExecMode mode : {ExecMode::Dense, ExecMode::Exion}) {
-        const int reps = quick ? 2 : (mode == ExecMode::Dense ? 4 : 3);
         bool bit_identical = false;
         TpComparison cmp = compareTensorParallel(
-            cohort_cfg, mode, tp_n, tp_slices, /*max_rows=*/8, reps,
+            cohort_cfg, mode, tp_n, tp_slices, /*max_rows=*/8, tp_pairs,
             bit_identical);
         // The tall dense projections are where the 1.3x floor lives;
         // the EXION row is informational (sparse kernels dominate its
@@ -1015,7 +1073,10 @@ main(int argc, char **argv)
                           ? " (gate >= " + std::to_string(cmp.minSpeedup)
                                 .substr(0, 3) + "x)"
                           : "")
-                  << (bit_identical ? "" : "  BIT-MISMATCH") << "\n";
+                  << (bit_identical ? "" : "  BIT-MISMATCH") << "\n"
+                  << "        pair ratios min " << cmp.ratioMin
+                  << "  p25 " << cmp.ratioP25 << "  p75 "
+                  << cmp.ratioP75 << "  max " << cmp.ratioMax << "\n";
         healthy &= cmp.tp1Rps > 0.0 && cmp.tpNRps > 0.0;
         // Correctness gate, never skipped: slices repartition
         // identical work, so any byte difference is a merge bug.

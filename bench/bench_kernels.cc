@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,58 @@ constexpr GemmShape kTallShapes[] = {
     {"qkv_64x256x256", 64, 256, 256},
     {"ffn1_64x256x1024", 64, 256, 1024},
     {"ffn2_64x1024x256", 64, 1024, 256},
+};
+
+/**
+ * The FFN-1 GEMMs of the other two benchmark workloads at their real
+ * shapes (tokens x d_model x 4 d_model): reduced StableDiffusion's
+ * 128-token stage and reduced MDM. Timed beside the tall shapes; not
+ * part of the gate.
+ */
+constexpr GemmShape kWorkloadFfnShapes[] = {
+    {"sd_ffn1_128x48x192", 128, 48, 192},
+    {"mdm_ffn1_48x64x256", 48, 64, 256},
+};
+
+/** BM_GemmTall's rows: the tall shapes, then the workload FFN-1
+    shapes. */
+constexpr Index kGemmRowCount =
+    std::size(kTallShapes) + std::size(kWorkloadFfnShapes);
+
+const GemmShape &
+gemmRowShape(Index i)
+{
+    return i < std::size(kTallShapes)
+        ? kTallShapes[i]
+        : kWorkloadFfnShapes[i - std::size(kTallShapes)];
+}
+
+/**
+ * A * B^T shapes (m x k x n with B n x k): two square 256-deep score
+ * blocks, then the per-head attention-score shapes of the three
+ * benchmark workloads (tokens x d_head x tokens): full-scale MLD,
+ * reduced MDM and reduced StableDiffusion's 128-token stage.
+ */
+constexpr GemmShape kScoreShapes[] = {
+    {"rows_64x256x64", 64, 256, 64},
+    {"rows_128x256x128", 128, 256, 128},
+    {"mld_head_8x64x8", 8, 64, 8},
+    {"mdm_head_48x16x48", 48, 16, 48},
+    {"sd_head_128x12x128", 128, 12, 128},
+};
+
+/** How a score row is computed: one backend, and its tier. */
+struct ScoreVariant
+{
+    const char *name;
+    GemmBackend backend;
+    SimdTier simd;
+};
+
+constexpr ScoreVariant kScoreVariants[] = {
+    {"reference", GemmBackend::Reference, SimdTier::Exact},
+    {"blocked_exact", GemmBackend::Blocked, SimdTier::Exact},
+    {"blocked_fast", GemmBackend::Blocked, SimdTier::Fast},
 };
 
 /**
@@ -328,11 +381,12 @@ BENCHMARK(BM_QuantMatmul)
     ->ArgsProduct({{64, 128}, {0, 1}})
     ->ArgNames({"n", "blocked"});
 
-/** Dense float GEMM across backends on the tall cohort shapes. */
+/** Dense float GEMM across backends on the tall cohort shapes and
+    the workloads' FFN-1 shapes. */
 void
 BM_GemmTall(benchmark::State &state)
 {
-    const GemmShape &shape = kTallShapes[state.range(0)];
+    const GemmShape &shape = gemmRowShape(state.range(0));
     const GemmBackend backend = state.range(1) == 0
         ? GemmBackend::Reference
         : GemmBackend::Blocked;
@@ -350,30 +404,31 @@ BM_GemmTall(benchmark::State &state)
                    + gemmBackendName(backend));
 }
 BENCHMARK(BM_GemmTall)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}})
     ->ArgNames({"shape", "blocked"});
 
-/** A * B^T (attention scores) across backends. */
+/** A * B^T (attention scores) per kScoreShapes x kScoreVariants. */
 void
 BM_GemmTransposed(benchmark::State &state)
 {
-    const Index n = state.range(0);
-    const GemmBackend backend = state.range(1) == 0
-        ? GemmBackend::Reference
-        : GemmBackend::Blocked;
+    const GemmShape &shape = kScoreShapes[state.range(0)];
+    const ScoreVariant &variant = kScoreVariants[state.range(1)];
     Rng rng(8);
-    Matrix a(n, 256), b(n, 256);
+    Matrix a(shape.m, shape.k), b(shape.n, shape.k);
     a.fillNormal(rng, 0.0f, 1.0f);
     b.fillNormal(rng, 0.0f, 1.0f);
     for (auto _ : state) {
-        Matrix c = matmulTransposedWith(a, b, backend);
+        Matrix c = matmulTransposedWith(a, b, variant.backend,
+                                        variant.simd);
         benchmark::DoNotOptimize(c.data().data());
     }
-    state.SetItemsProcessed(state.iterations() * n * n * 256);
+    state.SetItemsProcessed(state.iterations() * shape.m * shape.k
+                            * shape.n);
+    state.SetLabel(std::string(shape.name) + "/" + variant.name);
 }
 BENCHMARK(BM_GemmTransposed)
-    ->ArgsProduct({{64, 128}, {0, 1}})
-    ->ArgNames({"rows", "blocked"});
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}})
+    ->ArgNames({"shape", "variant"});
 
 void
 BM_ConMergeGroup(benchmark::State &state)
@@ -547,7 +602,8 @@ runFallbackSuite(int reps)
         }
     }
 
-    for (const GemmShape &s : kTallShapes) {
+    for (Index i = 0; i < kGemmRowCount; ++i) {
+        const GemmShape &s = gemmRowShape(i);
         Rng rng(7);
         Matrix a(s.m, s.k), b(s.k, s.n);
         a.fillNormal(rng, 0.0f, 1.0f);
@@ -559,6 +615,23 @@ runFallbackSuite(int reps)
                           gemmBackendName(backend));
             timeKernel(name, s.m * s.k * s.n, reps, [&] {
                 const Matrix c = matmulWith(a, b, backend);
+                g_sink = g_sink + c(0, 0);
+            });
+        }
+    }
+
+    for (const GemmShape &s : kScoreShapes) {
+        Rng rng(8);
+        Matrix a(s.m, s.k), b(s.n, s.k);
+        a.fillNormal(rng, 0.0f, 1.0f);
+        b.fillNormal(rng, 0.0f, 1.0f);
+        for (const ScoreVariant &v : kScoreVariants) {
+            char name[64];
+            std::snprintf(name, sizeof(name), "gemm_t_%s/%s", s.name,
+                          v.name);
+            timeKernel(name, s.m * s.k * s.n, reps, [&] {
+                const Matrix c =
+                    matmulTransposedWith(a, b, v.backend, v.simd);
                 g_sink = g_sink + c(0, 0);
             });
         }

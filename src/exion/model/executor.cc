@@ -71,8 +71,11 @@ denseAttentionCoreInto(const TransformerBlock &blk, const Matrix &q,
         / std::sqrt(static_cast<float>(dh));
 
     for (Index h = 0; h < blk.nHeads(); ++h) {
-        const Matrix qh = sliceBlock(q, r0, t, h * dh, dh);
-        const Matrix kh = sliceBlock(k, r0, t, h * dh, dh);
+        // The score GEMM reads Q_h and K_h in place through their row
+        // strides; V_h is copied because quantising it needs a
+        // contiguous operand.
+        const Matrix qh = viewBlock(q, r0, t, h * dh, dh);
+        const Matrix kh = viewBlock(k, r0, t, h * dh, dh);
         const Matrix vh = sliceBlock(v, r0, t, h * dh, dh);
 
         Matrix scores =

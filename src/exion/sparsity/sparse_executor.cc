@@ -194,27 +194,25 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
         + mmulOps(nv, d, d);
 
     // --- Real attention at kept positions only. ---
+    // Kept scores are exact in every tier: the Fast tier's
+    // reassociated transposed GEMM would change their bits.
+    const SimdTier score_simd =
+        simd == SimdTier::Fast ? SimdTier::Exact : simd;
     Matrix concat(t, d);
-    Matrix kt(dh, t);
     std::vector<float> row_scores(t);
     std::vector<Index> kept_cols;
     kept_cols.reserve(t);
     for (Index h = 0; h < n_heads; ++h) {
         const HeadDecision &dec = decisions[h];
 
-        // Every score of the head in one GEMM against K_h^T: each
-        // element is then the golden chain (+0.0f start, ascending
-        // k, one rounding per multiply and add) in every backend and
-        // tier, the same bits as a serial dot of the two rows. K_h^T
-        // is copied once, straight from k's head slice into a reused
-        // buffer, instead of slicing and then transposing.
-        for (Index j = 0; j < t; ++j) {
-            const float *krow = k.rowPtr(j) + h * dh;
-            for (Index c = 0; c < dh; ++c)
-                kt(c, j) = krow[c];
-        }
-        const Matrix scores =
-            matmulWith(sliceCols(q, h * dh, dh), kt, backend, simd);
+        // Every score of the head in one GEMM against K_h^T, read in
+        // place from q and k: each element is then the golden chain
+        // (+0.0f start, ascending k, one rounding per multiply and
+        // add) in every backend, the same bits as a serial dot of
+        // the two rows.
+        const Matrix scores = matmulTransposedWith(
+            viewBlock(q, 0, t, h * dh, dh), viewBlock(k, 0, t, h * dh, dh),
+            backend, score_simd);
 
         OpCount kept_total = 0;
         for (Index r = 0; r < t; ++r) {

@@ -1,5 +1,6 @@
 #include "exion/tensor/gemm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -18,20 +19,20 @@ std::atomic<GemmBackend> g_default{GemmBackend::Reference};
  * K * kPanelCols floats (128 KiB at K = 256), which stays resident in
  * L2 while every stacked activation row sweeps it; the reference loop
  * instead drags the whole K x N matrix through the cache once per
- * activation row. The i-blocking bounds how much of C is live between
- * panel switches.
+ * activation row. Inside a panel the kernel table's gemmPanelF32
+ * holds a tile of C (AVX-512 4x32, AVX2 4x16) in registers over the
+ * whole k range, so C is stored once per element and each A row
+ * block stays in L1 while it sweeps the panel.
  */
 constexpr Index kPanelCols = 128;
-constexpr Index kBlockRows = 64;
 
 /*
  * Both kernels of each pair below spell the per-element accumulation
- * with the same expression shape in the same translation unit
- * (c += a * b with k ascending from a +0.0f start), so whatever the
- * compiler does to one — vectorise across independent output elements,
- * contract multiply-add into FMA — it does to both and the per-element
- * rounding sequence stays identical. Reassociating or splitting the
- * k reduction itself is not legal without -ffast-math, which this
+ * as the same chain (c += a * b with k ascending from a +0.0f start,
+ * every multiply and add rounded separately); gemm.cc and every
+ * kernel TU are compiled with -ffp-contract=off, so no toolchain
+ * fuses one side into FMA. Reassociating or splitting the k
+ * reduction itself is not legal without -ffast-math, which this
  * project never enables.
  */
 
@@ -53,50 +54,57 @@ referenceMatmul(const Matrix &a, const Matrix &b)
     return c;
 }
 
+/** Where a j-panel of the right operand lives: k rows, ld apart. */
+struct PanelRef
+{
+    const float *data;
+    Index ld;
+};
+
+/**
+ * C (a.rows() x n) = A * P, one kPanelCols-wide j-panel at a time:
+ * panel(j0, nb) returns columns [j0, j0+nb) of the right operand as
+ * k rows of nb values, and the kernel table's gemmPanelF32 computes
+ * that C block from them. A is read in place through its row stride,
+ * so column-slice views cost no copy.
+ */
+template <typename Panel>
+Matrix
+panelMatmul(const Matrix &a, Index n, SimdTier simd, Panel panel)
+{
+    const SimdKernels &kr = simdKernels(simd);
+    Matrix c(a.rows(), n);
+    if (a.rows() == 0)
+        return c;
+    for (Index j0 = 0; j0 < n; j0 += kPanelCols) {
+        const Index nb = std::min(kPanelCols, n - j0);
+        const PanelRef p = panel(j0, nb);
+        kr.gemmPanelF32(c.rowPtr(0) + j0, n, a.rowPtr(0), a.rowStride(),
+                        p.data, p.ld, a.rows(), nb, a.cols());
+    }
+    return c;
+}
+
 Matrix
 blockedMatmul(const Matrix &a, const Matrix &b, SimdTier simd)
 {
-    const SimdKernels &kr = simdKernels(simd);
-    Matrix c(a.rows(), b.cols());
-    const Index m = a.rows();
-    const Index k_dim = a.cols();
-    const Index n = b.cols();
-    // One reusable panel buffer: B[:, j0:j0+nb] packed row-major as
-    // packed[k * nb + jj], so the inner j-sweep reads contiguously.
-    std::vector<float> packed(k_dim * std::min(kPanelCols, n));
-    for (Index j0 = 0; j0 < n; j0 += kPanelCols) {
-        const Index nb = std::min(kPanelCols, n - j0);
-        for (Index k = 0; k < k_dim; ++k) {
+    std::vector<float> packed;
+    return panelMatmul(a, b.cols(), simd, [&](Index j0, Index nb) {
+        // A B no wider than one panel is its own panel: the kernel
+        // reads it in place through its row stride (the reduced
+        // models' weights and tensor-parallel slices; packing them
+        // first made those GEMMs 10-20% slower). Wider ones are
+        // copied panel by panel, packed[k * nb + jj] = B(k, j0 + jj),
+        // so the kernel's k walk stays inside one compact block.
+        if (b.cols() <= kPanelCols)
+            return PanelRef{b.rowPtr(0), b.rowStride()};
+        packed.resize(b.rows() * nb);
+        for (Index k = 0; k < b.rows(); ++k) {
             const float *brow = b.rowPtr(k) + j0;
-            float *dst = packed.data() + k * nb;
-            for (Index jj = 0; jj < nb; ++jj)
-                dst[jj] = brow[jj];
+            std::copy(brow, brow + nb, packed.data() + k * nb);
         }
-        for (Index i0 = 0; i0 < m; i0 += kBlockRows) {
-            const Index i_end = std::min(i0 + kBlockRows, m);
-            for (Index i = i0; i < i_end; ++i) {
-                const float *arow = a.rowPtr(i);
-                float *crow = c.rowPtr(i) + j0;
-                // Jam four k steps per C sweep: each element's
-                // accumulator still adds its k terms one at a time in
-                // ascending order (four separate rounded additions,
-                // exactly the reference chain — the axpy4F32 kernel
-                // contract), but C is loaded and stored once per four
-                // FMAs instead of every FMA.
-                Index k = 0;
-                for (; k + 4 <= k_dim; k += 4) {
-                    const float *bp0 = packed.data() + k * nb;
-                    kr.axpy4F32(crow, bp0, bp0 + nb, bp0 + 2 * nb,
-                                bp0 + 3 * nb, arow[k], arow[k + 1],
-                                arow[k + 2], arow[k + 3], nb);
-                }
-                for (; k < k_dim; ++k)
-                    kr.axpyF32(crow, packed.data() + k * nb, arow[k],
-                               nb);
-            }
-        }
-    }
-    return c;
+        return PanelRef{packed.data(), nb};
+    });
 }
 
 Matrix
@@ -120,71 +128,31 @@ referenceMatmulTransposed(const Matrix &a, const Matrix &b)
 Matrix
 blockedMatmulTransposed(const Matrix &a, const Matrix &b, SimdTier simd)
 {
-    Matrix c(a.rows(), b.rows());
-    const Index m = a.rows();
-    const Index n = b.rows();
-    const Index k_dim = a.cols();
     // Fast tier: each output is a pure k reduction over two
     // contiguous rows — the reassociated dotF32 kernel's exact shape.
-    // Exact cannot vectorise this form (the k chain is the output),
-    // so it keeps the jammed scalar tiling below.
     if (simd == SimdTier::Fast) {
         const SimdKernels &kr = simdKernels(simd);
-        for (Index i = 0; i < m; ++i) {
+        Matrix c(a.rows(), b.rows());
+        for (Index i = 0; i < a.rows(); ++i) {
             const float *arow = a.rowPtr(i);
             float *crow = c.rowPtr(i);
-            for (Index j = 0; j < n; ++j)
-                crow[j] = kr.dotF32(arow, b.rowPtr(j), k_dim);
+            for (Index j = 0; j < b.rows(); ++j)
+                crow[j] = kr.dotF32(arow, b.rowPtr(j), a.cols());
         }
         return c;
     }
-    // B's rows are already contiguous; tiling i x j keeps a block of
-    // kBlockRows B rows hot while kBlockRows A rows sweep it, instead
-    // of streaming all of B once per A row. Inside a tile, four B
-    // rows share one pass over the A row: four independent
-    // accumulators, each still summing its own k terms in ascending
-    // order — the reference chain per element, a quarter of the A
-    // loads.
-    for (Index i0 = 0; i0 < m; i0 += kBlockRows) {
-        const Index i_end = std::min(i0 + kBlockRows, m);
-        for (Index j0 = 0; j0 < n; j0 += kBlockRows) {
-            const Index j_end = std::min(j0 + kBlockRows, n);
-            for (Index i = i0; i < i_end; ++i) {
-                const float *arow = a.rowPtr(i);
-                float *crow = c.rowPtr(i);
-                Index j = j0;
-                for (; j + 4 <= j_end; j += 4) {
-                    const float *br0 = b.rowPtr(j);
-                    const float *br1 = b.rowPtr(j + 1);
-                    const float *br2 = b.rowPtr(j + 2);
-                    const float *br3 = b.rowPtr(j + 3);
-                    float acc0 = 0.0f;
-                    float acc1 = 0.0f;
-                    float acc2 = 0.0f;
-                    float acc3 = 0.0f;
-                    for (Index k = 0; k < k_dim; ++k) {
-                        const float av = arow[k];
-                        acc0 += av * br0[k];
-                        acc1 += av * br1[k];
-                        acc2 += av * br2[k];
-                        acc3 += av * br3[k];
-                    }
-                    crow[j] = acc0;
-                    crow[j + 1] = acc1;
-                    crow[j + 2] = acc2;
-                    crow[j + 3] = acc3;
-                }
-                for (; j < j_end; ++j) {
-                    const float *brow = b.rowPtr(j);
-                    float acc = 0.0f;
-                    for (Index k = 0; k < k_dim; ++k)
-                        acc += arow[k] * brow[k];
-                    crow[j] = acc;
-                }
-            }
+    // Rows [j0, j0+nb) of B transposed into the k x nb panel layout
+    // blockedMatmul packs: packed[k * nb + jj] = B(j0 + jj, k).
+    std::vector<float> packed;
+    return panelMatmul(a, b.rows(), simd, [&](Index j0, Index nb) {
+        packed.resize(b.cols() * nb);
+        for (Index jj = 0; jj < nb; ++jj) {
+            const float *brow = b.rowPtr(j0 + jj);
+            for (Index k = 0; k < b.cols(); ++k)
+                packed[k * nb + jj] = brow[k];
         }
-    }
-    return c;
+        return PanelRef{packed.data(), nb};
+    });
 }
 
 Matrix
@@ -224,20 +192,16 @@ blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
         for (Index k = 0; k < k_dim; ++k)
             for (Index jj = 0; jj < nb; ++jj)
                 packed[jj * k_dim + k] = b(k, j0 + jj);
-        for (Index i0 = 0; i0 < m; i0 += kBlockRows) {
-            const Index i_end = std::min(i0 + kBlockRows, m);
-            for (Index i = i0; i < i_end; ++i) {
-                const i32 *arow = a.rowPtr(i);
-                float *crow = c.rowPtr(i) + j0;
-                // One widening dot kernel per packed column (integer
-                // sums are exact in any grouping, so this is legal in
-                // every tier).
-                for (Index jj = 0; jj < nb; ++jj)
-                    crow[jj] = static_cast<float>(
-                        kr.dotI32(arow, packed.data() + jj * k_dim,
-                                  k_dim)
-                        * out_scale);
-            }
+        for (Index i = 0; i < m; ++i) {
+            const i32 *arow = a.rowPtr(i);
+            float *crow = c.rowPtr(i) + j0;
+            // One widening dot kernel per packed column (integer sums
+            // are exact in any grouping, so this is legal in every
+            // tier).
+            for (Index jj = 0; jj < nb; ++jj)
+                crow[jj] = static_cast<float>(
+                    kr.dotI32(arow, packed.data() + jj * k_dim, k_dim)
+                    * out_scale);
         }
     }
     return c;

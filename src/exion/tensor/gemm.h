@@ -7,10 +7,14 @@
  *
  *  - Reference: the naive triple loops the golden model has always
  *    used (full IEEE accumulation, no skips).
- *  - Blocked:   cache-blocked over the i/j output dimensions with the
- *    traversed B panel packed contiguous, built for the tall stacked
- *    activations the cohort path produces (many rows against one
- *    shared weight matrix).
+ *  - Blocked:   one micro-kernel, the SIMD table's gemmPanelF32, under
+ *    both float forms. B (or, for A * B^T, B transposed) is packed
+ *    into 128-column k x nb panels — a B no wider than one panel is
+ *    read in place — and the kernel keeps a tile of C (AVX-512 4x32,
+ *    AVX2 4x16) in registers over the whole k range. A and B are read
+ *    through their row strides, so column-slice views need no copy.
+ *    Built for the tall stacked activations the cohort path produces
+ *    (many rows against one shared weight matrix).
  *
  * Bit-identity contract: for every output element both backends
  * perform the identical sequence of floating-point operations — the
@@ -18,8 +22,9 @@
  * with no partial-sum splitting, reassociation or skipping — so
  * Blocked is bit-identical to Reference by construction, not by
  * tolerance. Blocking only reorders *which element* is worked on
- * next (and copies B values, which is exact); it never reorders the
- * reduction inside an element. The property tests in tests/test_gemm.cc
+ * next (and copies B values, which is exact); each register lane
+ * holds one element's accumulator, so the reduction inside an
+ * element is never reordered. The property tests in tests/test_gemm.cc
  * enforce this over adversarial shapes including NaN/Inf payloads.
  *
  * Backend selection: callers either pass a backend explicitly
@@ -48,7 +53,7 @@ namespace exion
 enum class GemmBackend
 {
     Reference, //!< naive triple loop (golden model)
-    Blocked,   //!< i/j-blocked, B-panel-packed (bit-identical)
+    Blocked,   //!< register-blocked panel kernel (bit-identical)
 };
 
 /**

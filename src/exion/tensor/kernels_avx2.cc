@@ -5,8 +5,9 @@
  * Exactness discipline: float kernels vectorize across independent
  * output elements with separate _mm256_mul_ps / _mm256_add_ps (never
  * FMA — the golden chains round twice per term), ragged tails fall
- * back to the scalar reference chains, and compares are ordered-quiet
- * (_CMP_*_OQ) so NaN lanes never set mask bits.
+ * back to the scalar reference chains (the GEMM panel kernel masks
+ * them instead), and compares are ordered-quiet (_CMP_*_OQ) so NaN
+ * lanes never set mask bits.
  *
  * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
  * it must only be *called* after the runtime probe confirmed AVX2.
@@ -41,31 +42,107 @@ axpyF32Avx2(float *out, const float *x, float a, Index n)
         axpyF32Scalar(out + j, x + j, a, n - j);
 }
 
-void
-axpy4F32Avx2(float *out, const float *x0, const float *x1,
-             const float *x2, const float *x3, float a0, float a1,
-             float a2, float a3, Index n)
+/**
+ * One R x 8V tile of C over the whole k range: R*V accumulators stay
+ * in registers, each lane one output element's golden chain (+0.0f
+ * start, kk ascending, mul then add). With Tail the last column
+ * vector is masked to `tail` (all-ones lanes live): masked-off B
+ * lanes load +0.0f (and never fault), and masked-off C lanes are not
+ * stored.
+ */
+template <int R, int V, bool Tail>
+inline void
+panelTileAvx2(float *c, Index ldc, const float *a, Index lda,
+              const float *b, Index ldb, Index k, __m256i tail)
 {
-    const __m256 va0 = _mm256_set1_ps(a0);
-    const __m256 va1 = _mm256_set1_ps(a1);
-    const __m256 va2 = _mm256_set1_ps(a2);
-    const __m256 va3 = _mm256_set1_ps(a3);
-    Index j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m256 o = _mm256_loadu_ps(out + j);
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va0, _mm256_loadu_ps(x0 + j)));
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va1, _mm256_loadu_ps(x1 + j)));
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va2, _mm256_loadu_ps(x2 + j)));
-        o = _mm256_add_ps(
-            o, _mm256_mul_ps(va3, _mm256_loadu_ps(x3 + j)));
-        _mm256_storeu_ps(out + j, o);
+    __m256 acc[R][V];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            acc[r][v] = _mm256_setzero_ps();
+    for (Index kk = 0; kk < k; ++kk) {
+        const float *brow = b + kk * ldb;
+        __m256 bv[V];
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            bv[v] = Tail && v == V - 1
+                ? _mm256_maskload_ps(brow + 8 * v, tail)
+                : _mm256_loadu_ps(brow + 8 * v);
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm256_add_ps(acc[r][v],
+                                          _mm256_mul_ps(av, bv[v]));
+        }
     }
-    if (j < n)
-        axpy4F32Scalar(out + j, x0 + j, x1 + j, x2 + j, x3 + j, a0,
-                       a1, a2, a3, n - j);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v) {
+            float *dst = c + r * ldc + 8 * v;
+            if (Tail && v == V - 1)
+                _mm256_maskstore_ps(dst, tail, acc[r][v]);
+            else
+                _mm256_storeu_ps(dst, acc[r][v]);
+        }
+}
+
+/** R rows of C across all n columns: 16-wide tiles, then the ragged
+    tail as one full and/or one masked 8-lane vector. */
+template <int R>
+void
+panelRowsAvx2(float *c, Index ldc, const float *a, Index lda,
+              const float *b, Index ldb, Index n, Index k)
+{
+    Index j = 0;
+    const __m256i none = _mm256_setzero_si256();
+    for (; j + 16 <= n; j += 16)
+        panelTileAvx2<R, 2, false>(c + j, ldc, a, lda, b + j, ldb, k,
+                                   none);
+    const Index rest = n - j;
+    const auto mask = [](Index lanes) {
+        return _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(lanes)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    };
+    if (rest > 8)
+        panelTileAvx2<R, 2, true>(c + j, ldc, a, lda, b + j, ldb, k,
+                                  mask(rest - 8));
+    else if (rest == 8)
+        panelTileAvx2<R, 1, false>(c + j, ldc, a, lda, b + j, ldb, k,
+                                   none);
+    else if (rest > 0)
+        panelTileAvx2<R, 1, true>(c + j, ldc, a, lda, b + j, ldb, k,
+                                  mask(rest));
+}
+
+void
+gemmPanelF32Avx2(float *c, Index ldc, const float *a, Index lda,
+                 const float *b, Index ldb, Index m, Index n,
+                 Index k)
+{
+    Index i = 0;
+    for (; i + 4 <= m; i += 4)
+        panelRowsAvx2<4>(c + i * ldc, ldc, a + i * lda, lda, b, ldb, n,
+                         k);
+    c += i * ldc;
+    a += i * lda;
+    switch (m - i) {
+    case 3:
+        panelRowsAvx2<3>(c, ldc, a, lda, b, ldb, n, k);
+        break;
+    case 2:
+        panelRowsAvx2<2>(c, ldc, a, lda, b, ldb, n, k);
+        break;
+    case 1:
+        panelRowsAvx2<1>(c, ldc, a, lda, b, ldb, n, k);
+        break;
+    default:
+        break;
+    }
 }
 
 float
@@ -198,7 +275,7 @@ avx2Table()
     static const SimdKernels table = {
         "avx2",
         axpyF32Avx2,
-        axpy4F32Avx2,
+        gemmPanelF32Avx2,
         dotF32Avx2,
         dotI32Avx2,
         absGreaterMask64Avx2,

@@ -8,7 +8,8 @@
  * shines — _mm512_cmp_ps_mask yields the 16 compare bits directly,
  * and masked loads make the ragged tail branch-free (masked-off
  * lanes load +0.0f and are excluded from the result mask, so NaN/Inf
- * beyond the tail cannot leak in).
+ * beyond the tail cannot leak in). The GEMM panel kernel's column
+ * tails use the same masked loads, plus masked stores.
  *
  * This TU alone is compiled with -mavx512f (plus -ffp-contract=off);
  * only called after the runtime probe confirmed AVX-512F.
@@ -43,31 +44,103 @@ axpyF32Avx512(float *out, const float *x, float a, Index n)
         axpyF32Scalar(out + j, x + j, a, n - j);
 }
 
-void
-axpy4F32Avx512(float *out, const float *x0, const float *x1,
-               const float *x2, const float *x3, float a0, float a1,
-               float a2, float a3, Index n)
+/**
+ * One R x 16V tile of C over the whole k range: R*V accumulators
+ * stay in registers, each lane one output element's golden chain
+ * (+0.0f start, kk ascending, mul then add). With Tail the last
+ * column vector is masked to `tail`: masked-off B lanes load
+ * +0.0f (and never fault), and masked-off C lanes are not stored.
+ */
+template <int R, int V, bool Tail>
+inline void
+panelTileAvx512(float *c, Index ldc, const float *a, Index lda,
+                const float *b, Index ldb, Index k, __mmask16 tail)
 {
-    const __m512 va0 = _mm512_set1_ps(a0);
-    const __m512 va1 = _mm512_set1_ps(a1);
-    const __m512 va2 = _mm512_set1_ps(a2);
-    const __m512 va3 = _mm512_set1_ps(a3);
-    Index j = 0;
-    for (; j + 16 <= n; j += 16) {
-        __m512 o = _mm512_loadu_ps(out + j);
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va0, _mm512_loadu_ps(x0 + j)));
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va1, _mm512_loadu_ps(x1 + j)));
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va2, _mm512_loadu_ps(x2 + j)));
-        o = _mm512_add_ps(
-            o, _mm512_mul_ps(va3, _mm512_loadu_ps(x3 + j)));
-        _mm512_storeu_ps(out + j, o);
+    __m512 acc[R][V];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            acc[r][v] = _mm512_setzero_ps();
+    for (Index kk = 0; kk < k; ++kk) {
+        const float *brow = b + kk * ldb;
+        __m512 bv[V];
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            bv[v] = Tail && v == V - 1
+                ? _mm512_maskz_loadu_ps(tail, brow + 16 * v)
+                : _mm512_loadu_ps(brow + 16 * v);
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm512_add_ps(acc[r][v],
+                                          _mm512_mul_ps(av, bv[v]));
+        }
     }
-    if (j < n)
-        axpy4F32Scalar(out + j, x0 + j, x1 + j, x2 + j, x3 + j, a0,
-                       a1, a2, a3, n - j);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v) {
+            float *dst = c + r * ldc + 16 * v;
+            if (Tail && v == V - 1)
+                _mm512_mask_storeu_ps(dst, tail, acc[r][v]);
+            else
+                _mm512_storeu_ps(dst, acc[r][v]);
+        }
+}
+
+/** R rows of C across all n columns: 32-wide tiles, then the ragged
+    tail as one full and/or one masked 16-lane vector. */
+template <int R>
+void
+panelRowsAvx512(float *c, Index ldc, const float *a, Index lda,
+                const float *b, Index ldb, Index n, Index k)
+{
+    Index j = 0;
+    for (; j + 32 <= n; j += 32)
+        panelTileAvx512<R, 2, false>(c + j, ldc, a, lda, b + j, ldb,
+                                     k, 0);
+    const Index rest = n - j;
+    const auto mask = [](Index lanes) {
+        return static_cast<__mmask16>((1u << lanes) - 1);
+    };
+    if (rest > 16)
+        panelTileAvx512<R, 2, true>(c + j, ldc, a, lda, b + j, ldb,
+                                    k, mask(rest - 16));
+    else if (rest == 16)
+        panelTileAvx512<R, 1, false>(c + j, ldc, a, lda, b + j, ldb,
+                                     k, 0);
+    else if (rest > 0)
+        panelTileAvx512<R, 1, true>(c + j, ldc, a, lda, b + j, ldb,
+                                    k, mask(rest));
+}
+
+void
+gemmPanelF32Avx512(float *c, Index ldc, const float *a, Index lda,
+                   const float *b, Index ldb, Index m, Index n,
+                   Index k)
+{
+    Index i = 0;
+    for (; i + 4 <= m; i += 4)
+        panelRowsAvx512<4>(c + i * ldc, ldc, a + i * lda, lda, b, ldb,
+                           n, k);
+    c += i * ldc;
+    a += i * lda;
+    switch (m - i) {
+    case 3:
+        panelRowsAvx512<3>(c, ldc, a, lda, b, ldb, n, k);
+        break;
+    case 2:
+        panelRowsAvx512<2>(c, ldc, a, lda, b, ldb, n, k);
+        break;
+    case 1:
+        panelRowsAvx512<1>(c, ldc, a, lda, b, ldb, n, k);
+        break;
+    default:
+        break;
+    }
 }
 
 float
@@ -179,7 +252,7 @@ avx512Table()
     static const SimdKernels table = {
         "avx512",
         axpyF32Avx512,
-        axpy4F32Avx512,
+        gemmPanelF32Avx512,
         dotF32Avx512,
         dotI32Avx512,
         absGreaterMask64Avx512,

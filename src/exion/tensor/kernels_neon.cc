@@ -42,26 +42,52 @@ axpyF32Neon(float *out, const float *x, float a, Index n)
 }
 
 void
-axpy4F32Neon(float *out, const float *x0, const float *x1,
-             const float *x2, const float *x3, float a0, float a1,
-             float a2, float a3, Index n)
+gemmPanelF32Neon(float *c, Index ldc, const float *a, Index lda,
+                 const float *b, Index ldb, Index m, Index n,
+                 Index k)
 {
-    const float32x4_t va0 = vdupq_n_f32(a0);
-    const float32x4_t va1 = vdupq_n_f32(a1);
-    const float32x4_t va2 = vdupq_n_f32(a2);
-    const float32x4_t va3 = vdupq_n_f32(a3);
-    Index j = 0;
-    for (; j + 4 <= n; j += 4) {
-        float32x4_t o = vld1q_f32(out + j);
-        o = vaddq_f32(o, vmulq_f32(va0, vld1q_f32(x0 + j)));
-        o = vaddq_f32(o, vmulq_f32(va1, vld1q_f32(x1 + j)));
-        o = vaddq_f32(o, vmulq_f32(va2, vld1q_f32(x2 + j)));
-        o = vaddq_f32(o, vmulq_f32(va3, vld1q_f32(x3 + j)));
-        vst1q_f32(out + j, o);
+    // The scalar table's row sweep, four lanes wide: each C row is
+    // zeroed, then takes four jammed k steps per pass.
+    for (Index i = 0; i < m; ++i) {
+        const float *arow = a + i * lda;
+        float *crow = c + i * ldc;
+        for (Index j = 0; j < n; ++j)
+            crow[j] = 0.0f;
+        Index kk = 0;
+        for (; kk + 4 <= k; kk += 4) {
+            const float *b0 = b + kk * ldb;
+            const float *b1 = b0 + ldb;
+            const float *b2 = b1 + ldb;
+            const float *b3 = b2 + ldb;
+            const float a0 = arow[kk];
+            const float a1 = arow[kk + 1];
+            const float a2 = arow[kk + 2];
+            const float a3 = arow[kk + 3];
+            const float32x4_t va0 = vdupq_n_f32(a0);
+            const float32x4_t va1 = vdupq_n_f32(a1);
+            const float32x4_t va2 = vdupq_n_f32(a2);
+            const float32x4_t va3 = vdupq_n_f32(a3);
+            Index j = 0;
+            for (; j + 4 <= n; j += 4) {
+                float32x4_t o = vld1q_f32(crow + j);
+                o = vaddq_f32(o, vmulq_f32(va0, vld1q_f32(b0 + j)));
+                o = vaddq_f32(o, vmulq_f32(va1, vld1q_f32(b1 + j)));
+                o = vaddq_f32(o, vmulq_f32(va2, vld1q_f32(b2 + j)));
+                o = vaddq_f32(o, vmulq_f32(va3, vld1q_f32(b3 + j)));
+                vst1q_f32(crow + j, o);
+            }
+            for (; j < n; ++j) {
+                float acc = crow[j];
+                acc += a0 * b0[j];
+                acc += a1 * b1[j];
+                acc += a2 * b2[j];
+                acc += a3 * b3[j];
+                crow[j] = acc;
+            }
+        }
+        for (; kk < k; ++kk)
+            axpyF32Neon(crow, b + kk * ldb, arow[kk], n);
     }
-    if (j < n)
-        axpy4F32Scalar(out + j, x0 + j, x1 + j, x2 + j, x3 + j, a0,
-                       a1, a2, a3, n - j);
 }
 
 float
@@ -116,7 +142,7 @@ neonTable()
     static const SimdKernels table = {
         "neon",
         axpyF32Neon,
-        axpy4F32Neon,
+        gemmPanelF32Neon,
         dotF32Neon,
         dotI32Neon,
         absGreaterMask64Scalar,

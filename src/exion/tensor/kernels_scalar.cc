@@ -28,17 +28,40 @@ axpyF32Scalar(float *out, const float *x, float a, Index n)
 }
 
 void
-axpy4F32Scalar(float *out, const float *x0, const float *x1,
-               const float *x2, const float *x3, float a0, float a1,
-               float a2, float a3, Index n)
+gemmPanelF32Scalar(float *c, Index ldc, const float *a, Index lda,
+                   const float *b, Index ldb, Index m, Index n,
+                   Index k)
 {
-    for (Index j = 0; j < n; ++j) {
-        float acc = out[j];
-        acc += a0 * x0[j];
-        acc += a1 * x1[j];
-        acc += a2 * x2[j];
-        acc += a3 * x3[j];
-        out[j] = acc;
+    // One C row at a time, four k steps jammed per sweep: each
+    // element still adds its terms one at a time in ascending k from
+    // a +0.0f start, but the row is loaded and stored once per four
+    // terms instead of every term.
+    for (Index i = 0; i < m; ++i) {
+        const float *arow = a + i * lda;
+        float *crow = c + i * ldc;
+        for (Index j = 0; j < n; ++j)
+            crow[j] = 0.0f;
+        Index kk = 0;
+        for (; kk + 4 <= k; kk += 4) {
+            const float *b0 = b + kk * ldb;
+            const float *b1 = b0 + ldb;
+            const float *b2 = b1 + ldb;
+            const float *b3 = b2 + ldb;
+            const float a0 = arow[kk];
+            const float a1 = arow[kk + 1];
+            const float a2 = arow[kk + 2];
+            const float a3 = arow[kk + 3];
+            for (Index j = 0; j < n; ++j) {
+                float acc = crow[j];
+                acc += a0 * b0[j];
+                acc += a1 * b1[j];
+                acc += a2 * b2[j];
+                acc += a3 * b3[j];
+                crow[j] = acc;
+            }
+        }
+        for (; kk < k; ++kk)
+            axpyF32Scalar(crow, b + kk * ldb, arow[kk], n);
     }
 }
 
@@ -111,7 +134,7 @@ scalarTable()
     static const SimdKernels table = {
         "scalar",
         axpyF32Scalar,
-        axpy4F32Scalar,
+        gemmPanelF32Scalar,
         dotF32Scalar,
         dotI32Scalar,
         absGreaterMask64Scalar,

@@ -154,6 +154,18 @@ sliceBlock(const Matrix &a, Index r0, Index nr, Index c0, Index nc)
     return out;
 }
 
+Matrix
+viewBlock(const Matrix &a, Index r0, Index nr, Index c0, Index nc)
+{
+    EXION_ASSERT(r0 <= a.rows() && nr <= a.rows() - r0
+                     && c0 <= a.cols() && nc <= a.cols() - c0,
+                 "viewBlock out of range");
+    if (nr == 0 || nc == 0)
+        return Matrix(nr, nc);
+    return Matrix::borrowStrided(a.rowPtr(r0) + c0, nr, nc,
+                                 a.rowStride());
+}
+
 void
 pasteRows(Matrix &a, const Matrix &src, Index r0)
 {

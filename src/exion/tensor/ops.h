@@ -72,8 +72,8 @@ double maxAbsDiff(const Matrix &a, const Matrix &b);
 /**
  * Returns rows [r0, r0+n) of A as an n x cols matrix.
  *
- * The range check (here and in sliceCols/sliceBlock/pasteRows/
- * addRowVectorToRows) is wraparound-safe: Index is unsigned, so a
+ * The range check (here and in sliceCols/sliceBlock/viewBlock/
+ * pasteRows/addRowVectorToRows) is wraparound-safe: Index is unsigned, so a
  * negative r0 or n computed in caller arithmetic arrives as a huge
  * value, and a naive `r0 + n <= rows` guard would wrap right past
  * the bound it is meant to enforce.
@@ -90,6 +90,14 @@ Matrix sliceCols(const Matrix &a, Index c0, Index n);
  */
 Matrix sliceBlock(const Matrix &a, Index r0, Index nr, Index c0,
                   Index nc);
+
+/**
+ * The nr x nc block of A at (r0, c0) as a zero-copy strided view
+ * (Matrix::borrowStrided): the elements of sliceBlock, but aliasing
+ * A, which must outlive the view unmodified.
+ */
+Matrix viewBlock(const Matrix &a, Index r0, Index nr, Index c0,
+                 Index nc);
 
 /** Writes the rows of src into A starting at row r0. */
 void pasteRows(Matrix &a, const Matrix &src, Index r0);

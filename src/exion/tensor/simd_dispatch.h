@@ -4,8 +4,9 @@
  *
  * Every open-coded inner loop the profiles flagged — bitmask
  * popcount/compare words, FFN-Reuse threshold scans and masked
- * products, eager prediction's compare loops, the Blocked GEMM
- * micro-kernel — now calls a *named kernel* out of a function table.
+ * products, eager prediction's compare loops, the register-blocked
+ * panel micro-kernel under every float Blocked GEMM — now calls a
+ * *named kernel* out of a function table.
  * One table per instruction set
  * (kernels_{scalar,avx2,avx512,neon}.cc), probed once at runtime
  * (CPUID / compile-time ISA) and selected behind the scalar
@@ -16,14 +17,15 @@
  * options as SimdTier:
  *
  *  - Exact (default): kernels vectorize only across *independent
- *    output elements* (axpy j-sweeps, per-lane compares, integer
- *    reductions — integer sums are exact in any order). Each float
- *    output element's accumulation chain stays in the golden
- *    reference order from ops.h (one accumulator, +0.0f start,
- *    ascending k, separate mul then add, no FMA), so the vector path
- *    is bit-identical to scalar *by construction* and the existing
- *    maxAbsDiff == 0 differential tests run with vector dispatch
- *    active.
+ *    output elements* (axpy j-sweeps, the GEMM panel kernel's
+ *    register tiles with one output element per accumulator lane,
+ *    per-lane compares, integer reductions — integer sums are exact
+ *    in any order). Each float output element's accumulation chain
+ *    stays in the golden reference order from ops.h (one
+ *    accumulator, +0.0f start, ascending k, separate mul then add,
+ *    no FMA), so the vector path is bit-identical to scalar *by
+ *    construction* and the existing maxAbsDiff == 0 differential
+ *    tests run with vector dispatch active.
  *  - Fast (opt-in): additionally reassociates float reductions
  *    (multi-accumulator dot products). Results differ from the golden
  *    chain by rounding only; gated by tolerance-based differential
@@ -90,14 +92,21 @@ struct SimdKernels
     void (*axpyF32)(float *out, const float *x, float a, Index n);
 
     /**
-     * Four jammed axpy steps: per element
-     * out[j] = (((out[j] + a0*x0[j]) + a1*x1[j]) + a2*x2[j]) + a3*x3[j]
-     * with every multiply and add rounded separately, in that order.
-     * Exact: the Blocked GEMM micro-kernel's k-jam chain.
+     * C block from a k x n block of B: for i in [0, m), j in [0, n),
+     *   c[i*ldc + j] = sum_{kk < k} a[i*lda + kk] * b[kk*ldb + j]
+     * overwriting C. Exact: every element is the golden chain — a
+     * +0.0f accumulator, kk ascending, one rounded multiply then one
+     * rounded add per term, no FMA. The vector tables hold a 4-row
+     * tile of accumulators in registers over the whole k range
+     * (AVX-512 4x32, AVX2 4x16) with masked column tails and a
+     * 1..3-row tail; scalar and NEON sweep one C row at a time. This
+     * is the micro-kernel under every float Blocked GEMM (gemm.h),
+     * which hands it packed panels of B (ldb == n) or a narrow B in
+     * place.
      */
-    void (*axpy4F32)(float *out, const float *x0, const float *x1,
-                     const float *x2, const float *x3, float a0,
-                     float a1, float a2, float a3, Index n);
+    void (*gemmPanelF32)(float *c, Index ldc, const float *a,
+                         Index lda, const float *b, Index ldb, Index m,
+                         Index n, Index k);
 
     /**
      * sum_k a[k] * b[k] with reassociated accumulation. Fast tier
@@ -198,9 +207,9 @@ const SimdKernels *avx512Table();
 const SimdKernels *neonTable();
 
 void axpyF32Scalar(float *out, const float *x, float a, Index n);
-void axpy4F32Scalar(float *out, const float *x0, const float *x1,
-                    const float *x2, const float *x3, float a0,
-                    float a1, float a2, float a3, Index n);
+void gemmPanelF32Scalar(float *c, Index ldc, const float *a, Index lda,
+                        const float *b, Index ldb, Index m, Index n,
+                        Index k);
 float dotF32Scalar(const float *a, const float *b, Index n);
 i64 dotI32Scalar(const i32 *a, const i32 *b, Index n);
 u64 absGreaterMask64Scalar(const float *x, float theta, Index n);

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "exion/common/rng.h"
 #include "exion/tensor/gemm.h"
@@ -156,6 +157,65 @@ TEST(GemmBackendTest, MatmulQuantBlockedBitIdenticalAcrossShapes)
         EXPECT_TRUE(bitIdentical(
             matmulQuantWith(qa, qb, GemmBackend::Reference),
             matmulQuantWith(qa, qb, GemmBackend::Blocked)));
+    }
+}
+
+/**
+ * rows x cols of `values` laid out at row stride `stride` in `store`,
+ * the padding past each row poisoned with NaN/-Inf, and returned as a
+ * borrowStrided view: a kernel that ignores the stride, or reads past
+ * a row's width, pulls the poison into its result.
+ */
+Matrix
+stridedCopy(const Matrix &values, Index stride, std::vector<float> &store)
+{
+    store.assign(values.rows() * stride, kNan);
+    for (Index r = 0; r < values.rows(); ++r) {
+        for (Index c = 0; c < values.cols(); ++c)
+            store[r * stride + c] = values(r, c);
+        if (values.cols() + 1 < stride)
+            store[r * stride + values.cols() + 1] = -kInf;
+    }
+    return Matrix::borrowStrided(store.data(), values.rows(),
+                                 values.cols(), stride);
+}
+
+/**
+ * Strided views (zero-copy column slices, as the executors and tensor
+ * parallel slices pass them) as either operand: Blocked in every tier
+ * that is bit-identical by contract, and Reference itself, must give
+ * the bytes of Reference on contiguous copies, across kShapes.
+ */
+TEST(GemmBackendTest, StridedOperandsBitIdenticalAcrossShapes)
+{
+    Rng rng(106);
+    std::vector<float> a_store, b_store, bt_store;
+    for (const Shape &s : kShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << s.m << "x" << s.k << " * " << s.k << "x" << s.n);
+        const Matrix a = randomMatrix(s.m, s.k, rng);
+        const Matrix b = randomMatrix(s.k, s.n, rng);
+        const Matrix bt = randomMatrix(s.n, s.k, rng);
+        const Matrix av = stridedCopy(a, s.k + 5, a_store);
+        const Matrix bv = stridedCopy(b, s.n + 3, b_store);
+        const Matrix btv = stridedCopy(bt, s.k + 2, bt_store);
+        const Matrix want = matmulWith(a, b, GemmBackend::Reference);
+        const Matrix want_t =
+            matmulTransposedWith(a, bt, GemmBackend::Reference);
+        EXPECT_TRUE(bitIdentical(
+            want, matmulWith(av, bv, GemmBackend::Reference)));
+        EXPECT_TRUE(bitIdentical(
+            want_t, matmulTransposedWith(av, btv,
+                                         GemmBackend::Reference)));
+        for (SimdTier tier : {SimdTier::Scalar, SimdTier::Exact}) {
+            SCOPED_TRACE(simdTierName(tier));
+            EXPECT_TRUE(bitIdentical(
+                want, matmulWith(av, bv, GemmBackend::Blocked, tier)));
+            EXPECT_TRUE(bitIdentical(
+                want_t, matmulTransposedWith(av, btv,
+                                             GemmBackend::Blocked,
+                                             tier)));
+        }
     }
 }
 

@@ -5,12 +5,12 @@
  * Every vector table this build carries is held against the scalar
  * reference table on adversarial inputs: NaN/Inf payloads, signed
  * zeros, lengths that are not a multiple of any vector width, and
- * mask words with ragged tails. Exact-contract entries (axpy,
- * compares, integer reductions) must be bit-identical; dotF32 — the
- * Fast tier's reassociated reduction — is tolerance-checked. The
- * log-domain GEMM, which runs outside the tables, is checked
- * exhaustively against an ldProduct triple loop over the full INT12
- * operand range. On top of the kernels, the
+ * mask words with ragged tails. Exact-contract entries (axpy, the
+ * GEMM panel kernel, compares, integer reductions) must be
+ * bit-identical; dotF32 — the Fast tier's reassociated reduction —
+ * is tolerance-checked. The log-domain GEMM, which runs outside the
+ * tables, is checked exhaustively against an ldProduct triple loop
+ * over the full INT12 operand range. On top of the kernels, the
  * tier plumbing (parse round-trips, table selection, process
  * default) and the Bitmask2D word-level API (words(), andPopcount,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
@@ -172,7 +172,7 @@ TEST(SimdDispatchTest, TablesArePopulated)
     for (const SimdKernels *t : all) {
         EXPECT_NE(t->name, nullptr);
         EXPECT_NE(t->axpyF32, nullptr);
-        EXPECT_NE(t->axpy4F32, nullptr);
+        EXPECT_NE(t->gemmPanelF32, nullptr);
         EXPECT_NE(t->dotF32, nullptr);
         EXPECT_NE(t->dotI32, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
@@ -203,25 +203,51 @@ TEST(SimdKernelTest, AxpyBitIdenticalToScalar)
     }
 }
 
-TEST(SimdKernelTest, Axpy4BitIdenticalToScalar)
+/**
+ * The GEMM panel kernel against the scalar row sweep: every row
+ * count through the 4-row tiles and their 1..3-row tails, column
+ * counts on both sides of every vector and tile width, k from empty
+ * to many terms, and operand/output strides wider than the block so
+ * a kernel that ignores one reads or writes the wrong elements. The
+ * padding past each row's width holds NaN, +-Inf and -0, so a tail
+ * lane that leaks into a live element (or is stored) shows up; C's
+ * padding must come back untouched.
+ */
+TEST(SimdKernelTest, GemmPanelBitIdenticalToScalar)
 {
+    const Index kCols[] = {1, 8, 15, 16, 17, 31, 32, 33, 47, 128, 129};
+    const Index kDepths[] = {0, 1, 3, 64};
+    const float kPad[] = {kNan, kInf, -kInf, -0.0f};
     Rng rng(12);
+    /** rows x width values at row stride ld, padding poisoned. */
+    const auto strided = [&](Index rows, Index width, Index ld) {
+        std::vector<float> v = adversarialFloats(rows * ld, rng);
+        for (Index r = 0; r < rows; ++r)
+            for (Index j = width; j < ld; ++j)
+                v[r * ld + j] = kPad[(r + j) % 4];
+        return v;
+    };
     for (const SimdKernels *table : vectorTables()) {
-        for (Index n : kLengths) {
-            const std::vector<float> x0 = adversarialFloats(n, rng);
-            const std::vector<float> x1 = adversarialFloats(n, rng);
-            const std::vector<float> x2 = adversarialFloats(n, rng);
-            const std::vector<float> x3 = adversarialFloats(n, rng);
-            std::vector<float> ref = adversarialFloats(n, rng);
-            std::vector<float> got = ref;
-            simd::axpy4F32Scalar(ref.data(), x0.data(), x1.data(),
-                                 x2.data(), x3.data(), 0.7f, -1.3f,
-                                 kInf, 0.01f, n);
-            table->axpy4F32(got.data(), x0.data(), x1.data(),
-                            x2.data(), x3.data(), 0.7f, -1.3f, kInf,
-                            0.01f, n);
-            EXPECT_TRUE(bitsEqual(ref, got))
-                << table->name << " n=" << n;
+        for (Index m = 0; m <= 9; ++m) {
+            for (Index n : kCols) {
+                for (Index k : kDepths) {
+                    const Index lda = k + 3;
+                    const Index ldb = n + 5;
+                    const Index ldc = n + 7;
+                    const std::vector<float> a = strided(m, k, lda);
+                    const std::vector<float> b = strided(k, n, ldb);
+                    std::vector<float> ref = strided(m, n, ldc);
+                    std::vector<float> got = ref;
+                    simd::gemmPanelF32Scalar(ref.data(), ldc, a.data(),
+                                             lda, b.data(), ldb, m, n,
+                                             k);
+                    table->gemmPanelF32(got.data(), ldc, a.data(), lda,
+                                        b.data(), ldb, m, n, k);
+                    EXPECT_TRUE(bitsEqual(ref, got))
+                        << table->name << " m=" << m << " n=" << n
+                        << " k=" << k;
+                }
+            }
         }
     }
 }

@@ -130,6 +130,23 @@ TEST(Ops, SliceAndPaste)
     EXPECT_FLOAT_EQ(target(0, 0), 0.0f);
 }
 
+TEST(Ops, ViewBlockAliasesSliceBlock)
+{
+    Rng rng(8);
+    Matrix a(7, 9);
+    a.fillNormal(rng, 0.0f, 1.0f);
+    const Matrix view = viewBlock(a, 2, 4, 3, 5);
+    const Matrix copy = sliceBlock(a, 2, 4, 3, 5);
+    EXPECT_TRUE(view.borrowed());
+    EXPECT_EQ(view.rowStride(), 9u);
+    EXPECT_EQ(view.rowPtr(0), a.rowPtr(2) + 3);
+    EXPECT_EQ(view, copy);
+    // Empty blocks are well-formed (no pointer into a row that
+    // does not exist).
+    EXPECT_EQ(viewBlock(a, 7, 0, 0, 9).rows(), 0u);
+    EXPECT_EQ(viewBlock(a, 0, 7, 9, 0).cols(), 0u);
+}
+
 TEST(Ops, QuantMatmulApproximatesFloat)
 {
     Rng rng(9);

@@ -1,11 +1,12 @@
 /**
  * @file
  * Microbenchmarks of the hot kernels: log-domain products, eager
- * prediction at EP's per-head shapes, one whole EP attention block
- * and one head's skip decision, CVG block merging, bitmask
- * extraction, quantised matmul and the dense GEMM backends. Not a
- * paper artefact; standard performance tracking for the library
- * itself.
+ * prediction at EP's per-head shapes and its integer image GEMMs,
+ * one whole EP attention block and one head's skip decision, CVG
+ * block merging, bitmask extraction, quantised matmul and the dense
+ * GEMM backends. Not a paper artefact; standard performance tracking
+ * for the library itself. Both modes also print EP's break-even
+ * table (printEpBreakEven).
  *
  * Two build modes:
  *  - With Google Benchmark (EXION_HAVE_GBENCH): the usual
@@ -16,9 +17,10 @@
  *
  * Both modes run the GEMM backend comparison on the paper-scale tall
  * cohort MMULs (a stacked cohort of 8 x 8-token members against
- * full-scale MLD weight shapes) and **exit nonzero if the Blocked
- * backend does not reach Reference throughput** — the regression gate
- * for the cache-blocked kernel.
+ * full-scale MLD weight shapes) and on eager prediction's image
+ * GEMMs, and **exit nonzero if the Blocked backend does not reach
+ * Reference throughput on either** — the regression gate for the
+ * float and integer panel kernels.
  */
 
 #include <algorithm>
@@ -202,9 +204,136 @@ decideScores()
 
 constexpr EpConfig kDecideEp{0.8, 0.8};
 
+/**
+ * Eager prediction's integer image GEMMs (m x k x n) at reduced
+ * StableDiffusion's two stages: the across-head batched Q|K LD
+ * projection (tokens x d_model x 2 d_model) and one head's LD score
+ * GEMM (tokens x d_head x tokens).
+ */
+constexpr GemmShape kLdGemmShapes[] = {
+    {"ld_gemm/128x48x96_batched", 128, 48, 96},
+    {"ld_gemm/128x12x128", 128, 12, 128},
+    {"ld_gemm/32x96x192_batched", 32, 96, 192},
+    {"ld_gemm/32x24x32", 32, 24, 32},
+};
+
+/** TS-LOD images of random INT12 operands, as EP multiplies them. */
+struct LdGemmOperands
+{
+    QuantMatrix a, b;
+};
+
+LdGemmOperands
+ldGemmOperands(const GemmShape &s)
+{
+    Rng rng(12);
+    Matrix a(s.m, s.k), b(s.k, s.n);
+    a.fillNormal(rng, 0.0f, 1.0f);
+    b.fillNormal(rng, 0.0f, 0.2f);
+    return {ldImage(QuantMatrix::fromFloat(a, IntWidth::Int12),
+                    LodMode::TwoStep),
+            ldImage(QuantMatrix::fromFloat(b, IntWidth::Int12),
+                    LodMode::TwoStep)};
+}
+
 /** Keeps timed results observable without Google Benchmark's
     DoNotOptimize. */
 volatile float g_sink = 0.0f;
+
+/**
+ * Best-of-reps seconds per call of fn. Each rep runs fn often enough
+ * to span at least 0.2 ms, so microsecond kernels are not timed at
+ * the clock's resolution.
+ */
+template <typename Fn>
+double
+bestSecondsPerCall(int reps, Fn &&fn)
+{
+    using Clock = std::chrono::steady_clock;
+    int inner = 1;
+    for (;;) {
+        const auto t0 = Clock::now();
+        for (int i = 0; i < inner; ++i)
+            fn();
+        if (Clock::now() - t0 >= std::chrono::microseconds(200)
+            || inner >= (1 << 20))
+            break;
+        inner *= 2;
+    }
+    double best = 1e30;
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = Clock::now();
+        for (int i = 0; i < inner; ++i)
+            fn();
+        const auto t1 = Clock::now();
+        best = std::min(best,
+                        std::chrono::duration<double>(t1 - t0).count()
+                            / inner);
+    }
+    return best;
+}
+
+/**
+ * RT-Lynx's break-even question, per ep_attention_block shape: EP
+ * pays only when prediction plus decision cost less than the
+ * attention work the skipped scores save. Kept-position attention
+ * costs about (1 - s) of the dense score + softmax + AV core at score
+ * sparsity s, so EP breaks even at s* = (predict + decide) / dense
+ * core; above 1 it cannot pay at any sparsity. The realised sparsity
+ * of the shape's own EP knobs is printed beside it. Projection skips
+ * are left out (reduced StableDiffusion skips no Q/K/V rows).
+ */
+void
+printEpBreakEven(int reps)
+{
+    std::printf("\n== EP break-even (best of %d, us per block) ==\n",
+                reps);
+    std::printf("%-38s %9s %9s %11s %11s %9s\n", "shape", "predict",
+                "decide", "dense core", "break-even", "realised");
+    for (const EpBlockShape &s : kEpBlockShapes) {
+        EpBlock block(s);
+        const TransformerBlock &blk = block.blk;
+        const double predict = bestSecondsPerCall(reps, [&] {
+            predictBlockScores(blk, block.x, block.img, SimdTier::Exact,
+                               [](Index, Matrix &p) {
+                                   g_sink = g_sink + p(0, 0);
+                               });
+        });
+        std::vector<Matrix> predicted;
+        predictBlockScores(blk, block.x, block.img, SimdTier::Exact,
+                           [&](Index, Matrix &p) {
+                               predicted.push_back(std::move(p));
+                           });
+        const double decide = bestSecondsPerCall(reps, [&] {
+            for (const Matrix &p : predicted) {
+                const HeadDecision dec = decideFromPrediction(p, s.ep);
+                g_sink = g_sink + static_cast<float>(dec.oneHotCount());
+            }
+        });
+        const Matrix q = matmulWith(block.x, blk.wq().weight(),
+                                    GemmBackend::Blocked);
+        const Matrix k = matmulWith(block.x, blk.wk().weight(),
+                                    GemmBackend::Blocked);
+        const Matrix v = matmulWith(block.x, blk.wv().weight(),
+                                    GemmBackend::Blocked);
+        const double dense = bestSecondsPerCall(reps, [&] {
+            ExecStats stats;
+            Matrix concat(s.tokens, s.dModel);
+            denseAttentionCoreInto(blk, q, k, v, 0, s.tokens, false,
+                                   stats, concat, GemmBackend::Blocked);
+            g_sink = g_sink + concat(0, 0);
+        });
+        ExecStats stats;
+        ExecObservers observers;
+        epAttentionImpl(blk, block.x, block.img, s.ep, false, stats,
+                        observers, GemmBackend::Blocked);
+        const double realised = stats.scoreSparsitySum
+            / static_cast<double>(stats.scoreSparsitySamples);
+        std::printf("%-38s %9.1f %9.1f %11.1f %11.2f %9.2f\n", s.name,
+                    predict * 1e6, decide * 1e6, dense * 1e6,
+                    (predict + decide) / dense, realised);
+    }
+}
 
 /**
  * Best-of-N wall-clock seconds for one A*B with the given backend.
@@ -229,10 +358,11 @@ timeMatmul(const Matrix &a, const Matrix &b, GemmBackend backend,
 /**
  * The regression gate shared by both build modes: Blocked must reach
  * Reference throughput on the tall cohort MMULs, summed over the
- * three shapes (best-of-reps each, so one noisy run cannot flip the
- * verdict).
+ * three shapes, and Blocked matmulQuantWith must reach Reference on
+ * eager prediction's image GEMMs, summed over kLdGemmShapes
+ * (best-of-reps each, so one noisy run cannot flip the verdict).
  *
- * @return true when Blocked >= Reference throughput
+ * @return true when Blocked >= Reference throughput on both
  */
 bool
 gateBlockedGemm(int reps)
@@ -261,13 +391,44 @@ gateBlockedGemm(int reps)
                 "speedup %.2fx\n",
                 "total", ref_total * 1e3, blocked_total * 1e3,
                 ref_total / blocked_total);
+    bool ok = true;
     if (blocked_total > ref_total) {
         std::fprintf(stderr,
                      "error: Blocked GEMM backend is slower than "
                      "Reference on the tall cohort MMULs\n");
-        return false;
+        ok = false;
     }
-    return true;
+
+    // Eager prediction's image GEMMs: the integer panel kernel under
+    // Blocked matmulQuantWith must not fall behind the reference loop.
+    std::printf("\n== Integer GEMM gate: EP image shapes (best of %d) "
+                "==\n",
+                reps);
+    double ld_ref_total = 0.0;
+    double ld_blocked_total = 0.0;
+    for (const GemmShape &s : kLdGemmShapes) {
+        const LdGemmOperands op = ldGemmOperands(s);
+        double t[2];
+        for (GemmBackend backend :
+             {GemmBackend::Reference, GemmBackend::Blocked})
+            t[backend == GemmBackend::Blocked] =
+                bestSecondsPerCall(reps, [&] {
+                    const Matrix c = matmulQuantWith(op.a, op.b, backend);
+                    g_sink = g_sink + c(0, 0);
+                });
+        ld_ref_total += t[0];
+        ld_blocked_total += t[1];
+        std::printf("%-28s reference %8.1f us   blocked %8.1f us   "
+                    "speedup %.2fx\n",
+                    s.name, t[0] * 1e6, t[1] * 1e6, t[0] / t[1]);
+    }
+    if (ld_blocked_total > ld_ref_total) {
+        std::fprintf(stderr,
+                     "error: Blocked integer GEMM is slower than "
+                     "Reference at the EP image shapes\n");
+        ok = false;
+    }
+    return ok;
 }
 
 } // namespace
@@ -357,6 +518,28 @@ BM_EpDecideHead(benchmark::State &state)
     state.SetLabel("ep_decide_head/128");
 }
 BENCHMARK(BM_EpDecideHead);
+
+/** Eager prediction's integer image GEMMs (see kLdGemmShapes). */
+void
+BM_LdImageGemm(benchmark::State &state)
+{
+    const GemmShape &shape = kLdGemmShapes[state.range(0)];
+    const GemmBackend backend = state.range(1) == 0
+        ? GemmBackend::Reference
+        : GemmBackend::Blocked;
+    const LdGemmOperands op = ldGemmOperands(shape);
+    for (auto _ : state) {
+        Matrix c = matmulQuantWith(op.a, op.b, backend);
+        benchmark::DoNotOptimize(c.data().data());
+    }
+    state.SetItemsProcessed(state.iterations() * shape.m * shape.k
+                            * shape.n);
+    state.SetLabel(std::string(shape.name) + "/"
+                   + gemmBackendName(backend));
+}
+BENCHMARK(BM_LdImageGemm)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->ArgNames({"shape", "blocked"});
 
 void
 BM_QuantMatmul(benchmark::State &state)
@@ -508,6 +691,7 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    exion::printEpBreakEven(quick ? 3 : 5);
     return exion::gateBlockedGemm(quick ? 3 : 5) ? 0 : 1;
 }
 
@@ -580,6 +764,20 @@ runFallbackSuite(int reps)
             const HeadDecision dec = decideFromPrediction(p, kDecideEp);
             g_sink = g_sink + static_cast<float>(dec.oneHotCount());
         });
+    }
+
+    for (const GemmShape &s : kLdGemmShapes) {
+        const LdGemmOperands op = ldGemmOperands(s);
+        for (GemmBackend backend :
+             {GemmBackend::Reference, GemmBackend::Blocked}) {
+            char name[64];
+            std::snprintf(name, sizeof(name), "%s/%s", s.name,
+                          gemmBackendName(backend));
+            timeKernel(name, s.m * s.k * s.n, reps, [&] {
+                const Matrix c = matmulQuantWith(op.a, op.b, backend);
+                g_sink = g_sink + c(0, 0);
+            });
+        }
     }
 
     for (Index n : {Index{64}, Index{128}}) {
@@ -664,6 +862,7 @@ main(int argc, char **argv)
             quick = true;
     const int reps = quick ? 3 : 5;
     exion::runFallbackSuite(reps);
+    exion::printEpBreakEven(reps);
     return exion::gateBlockedGemm(reps) ? 0 : 1;
 }
 

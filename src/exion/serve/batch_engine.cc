@@ -124,11 +124,12 @@ BatchEngine::registerModel(Benchmark b,
     // Pipeline construction (cheap for a store: borrowed views, no
     // Rng build) happens outside the lock; the stopped check and the
     // map insert are atomic with respect to shutdown().
-    auto pipe = std::make_unique<const DiffusionPipeline>(std::move(store));
+    auto model = std::make_unique<Model>();
+    model->pipe = std::make_unique<const DiffusionPipeline>(std::move(store));
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_)
         throw ThreadPoolStopped();
-    models_[b] = std::move(pipe);
+    models_[b] = std::move(model);
 }
 
 void
@@ -146,7 +147,20 @@ BatchEngine::pipeline(Benchmark b) const
     if (it == models_.end())
         throw UnknownModelError("benchmark " + benchmarkName(b)
                                 + " not registered with the engine");
-    return *it->second;
+    return *it->second->pipe;
+}
+
+const EpWeightSet &
+BatchEngine::epWeights(Benchmark b, LodMode mode)
+{
+    Model &model = *models_.at(b); // callers resolved b already
+    std::call_once(model.epOnce, [&] {
+        model.epWeights = std::make_unique<const EpWeightSet>(
+            model.pipe->network(), mode);
+    });
+    EXION_ASSERT(model.epWeights->mode() == mode,
+                 "engine EP weight images at another LOD depth");
+    return *model.epWeights;
 }
 
 i64
@@ -570,6 +584,9 @@ BatchEngine::stepCohort(std::vector<std::unique_ptr<CohortMember>> &members)
     cohort_opts.gemm = opts_.gemmBackend;
     cohort_opts.simd = opts_.simdTier;
     cohort_opts.tp = tpContext();
+    if (ep)
+        cohort_opts.epWeights =
+            &epWeights(key.benchmark, cohort_opts.lodMode);
     CohortExecutor exec(cohort_opts);
     CohortRun run(pipe, exec);
 

@@ -662,7 +662,24 @@ class BatchEngine : public ServeBackend
     Options opts_;
     AdmissionController admission_;
     ConMergePipeline conmergePipe_;
-    std::map<Benchmark, std::unique_ptr<const DiffusionPipeline>> models_;
+    /**
+     * A registered model: its pipeline and its EP weight images. The
+     * images are built once, by the model's first eager-prediction
+     * request, and are read-only afterwards: every cohort executor
+     * borrows them instead of building its own, and dense-only
+     * serving never pays for them.
+     */
+    struct Model
+    {
+        std::unique_ptr<const DiffusionPipeline> pipe;
+        std::once_flag epOnce;
+        std::unique_ptr<const EpWeightSet> epWeights;
+    };
+
+    /** The model's shared EP weight images, built on first call. */
+    const EpWeightSet &epWeights(Benchmark b, LodMode mode);
+
+    std::map<Benchmark, std::unique_ptr<Model>> models_;
     ResultQueue results_;
     MetricsCollector metrics_;
 

@@ -8,8 +8,11 @@ namespace exion
 CohortExecutor::CohortExecutor(const SparseExecutor::Options &opt)
     : opt_(opt),
       ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp),
-      epWeights_(opt.lodMode)
+      ownEpWeights_(opt.lodMode)
 {
+    EXION_ASSERT(opt.epWeights == nullptr
+                     || opt.epWeights->mode() == opt.lodMode,
+                 "borrowed EP weight images at another LOD depth");
 }
 
 CohortExecutor::Slot &
@@ -93,7 +96,8 @@ CohortExecutor::attention(const TransformerBlock &blk,
             const Matrix x_m = sliceRows(x_norm, m * t_seg, t_seg);
             Slot &s = slot(active_[m]);
             const Matrix seg = opt_.useEp
-                ? epAttentionImpl(blk, x_m, epWeights_.images(blk),
+                ? epAttentionImpl(blk, x_m,
+                                  epImagesFor(opt_, ownEpWeights_, blk),
                                   opt_.ep, opt_.quantize, s.ctx->stats,
                                   s.observers, opt_.gemm, opt_.simd,
                                   opt_.tp)

@@ -100,7 +100,7 @@ class CohortExecutor : public CohortBlockExecutor
 
     SparseExecutor::Options opt_;
     FfnReuse ffnReuse_;
-    EpWeightCache epWeights_;
+    EpWeightSet ownEpWeights_; //!< used when opt_.epWeights is null
     std::unordered_map<Index, Slot> slots_;
     std::vector<Index> active_;
     std::vector<int> iterations_;

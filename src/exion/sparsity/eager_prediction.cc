@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "exion/tensor/gemm.h"
+
 namespace exion
 {
 
@@ -185,32 +187,29 @@ decideFromPrediction(const Matrix &predicted, const EpConfig &ep,
 
 Matrix
 predictHeadScore(const QuantMatrix &x_q12, const QuantMatrix &wq_head,
-                 const QuantMatrix &wk_head, LodMode mode, SimdTier)
+                 const QuantMatrix &wk_head, LodMode mode, SimdTier simd)
 {
-    return predictHeadScore(ldImage(x_q12, mode), ldImage(wq_head, mode),
-                            ldImage(wk_head, mode));
+    EXION_ASSERT(wq_head.cols() == wk_head.cols(), "head width mismatch");
+    const QuantMatrix x_img = ldImage(x_q12, mode);
+    const Matrix q_est = matmulQuantWith(x_img, ldImage(wq_head, mode),
+                                         GemmBackend::Blocked, simd);
+    const Matrix k_est = matmulQuantWith(x_img, ldImage(wk_head, mode),
+                                         GemmBackend::Blocked, simd);
+    return predictScoreFromProjections(q_est, k_est, mode, simd);
 }
 
 Matrix
-predictHeadScore(const LdImage &x_img, const LdImage &wq_head,
-                 const LdImage &wk_head)
+predictScoreFromProjections(const Matrix &q_est, const Matrix &k_est,
+                            LodMode mode, SimdTier simd, float temp)
 {
-    EXION_ASSERT(wq_head.cols == wk_head.cols, "head width mismatch");
-    const LodMode mode = x_img.mode;
-    const Index dh = wq_head.cols;
-
-    // LD projections produce float estimates; requantise for the
-    // second-level LD MMUL, as the EPRE feeds its own outputs back.
-    const Matrix q_est = ldMatmul(x_img, wq_head);
-    const Matrix k_est = ldMatmul(x_img, wk_head);
+    EXION_ASSERT(q_est.cols() == k_est.cols(), "head width mismatch");
     const QuantMatrix q12 = QuantMatrix::fromFloat(q_est, IntWidth::Int12);
     const QuantMatrix k12 = QuantMatrix::fromFloat(k_est, IntWidth::Int12);
-
-    Matrix scores =
-        ldMatmul(ldImage(q12, mode), ldImage(k12, mode, true));
-    const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
-    for (Index i = 0; i < scores.size(); ++i)
-        scores.data()[i] *= inv_sqrt;
+    Matrix scores = ldMatmulTransposed(q12, k12, mode, simd);
+    const float inv_sqrt =
+        1.0f / std::sqrt(static_cast<float>(q_est.cols()));
+    for (float &v : scores.data())
+        v = v * inv_sqrt * temp;
     return scores;
 }
 
@@ -222,8 +221,12 @@ combineNeeds(const std::vector<HeadDecision> &heads, Index tokens)
     needs.kRowNeeded.assign(tokens, 0);
     needs.vRowNeeded.assign(tokens, 0);
 
+    // Key/value tokens kept by any row of any head, OR-ed 64 columns
+    // at a time, then expanded once.
+    std::vector<u64> kept((tokens + 63) / 64, 0);
     for (const auto &head : heads) {
         EXION_ASSERT(head.keep.rows() == tokens
+                         && head.keep.cols() == tokens
                          && head.oneHot.size() == tokens,
                      "head decision shape mismatch");
         for (Index r = 0; r < tokens; ++r) {
@@ -233,10 +236,16 @@ combineNeeds(const std::vector<HeadDecision> &heads, Index tokens)
                 continue;
             }
             needs.qRowNeeded[r] = 1;
-            head.keep.forEachSetBitInRow(r, [&](Index c) {
-                needs.kRowNeeded[c] = 1;
-                needs.vRowNeeded[c] = 1;
-            });
+            for (Index c0 = 0; c0 < tokens; c0 += 64)
+                kept[c0 / 64] |= head.keep.rowBits(
+                    r, c0, std::min<Index>(64, tokens - c0));
+        }
+    }
+    for (Index w = 0; w < kept.size(); ++w) {
+        for (u64 bits = kept[w]; bits != 0; bits &= bits - 1) {
+            const Index c = w * 64 + std::countr_zero(bits);
+            needs.kRowNeeded[c] = 1;
+            needs.vRowNeeded[c] = 1;
         }
     }
     return needs;

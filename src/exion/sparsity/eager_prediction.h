@@ -96,15 +96,16 @@ HeadDecision decideFromPrediction(const Matrix &predicted,
  * Predicts one head's scaled attention score in the log domain.
  *
  * Runs LD projections of x through Wq/Wk head slices, then the LD
- * QK^T, mirroring the EPRE datapath. Biases are skipped (the EPRE
- * predicts from the dominant MMUL terms only).
+ * QK^T (predictScoreFromProjections), mirroring the EPRE datapath.
+ * Biases are skipped (the EPRE predicts from the dominant MMUL terms
+ * only).
  *
  * @param x_q12   INT12-quantised block input
  * @param wq_head head slice of the Q weight (d x d_head), quantised
  * @param wk_head head slice of the K weight (d x d_head), quantised
  * @param mode    LOD depth
- * @param simd    accepted for call-site uniformity; the log-domain
- *                GEMMs are exact, so every tier gives the same bits
+ * @param simd    kernel table of the integer image GEMMs; they are
+ *                exact, so every tier gives the same bits
  */
 Matrix predictHeadScore(const QuantMatrix &x_q12,
                         const QuantMatrix &wq_head,
@@ -112,12 +113,19 @@ Matrix predictHeadScore(const QuantMatrix &x_q12,
                         SimdTier simd = defaultSimdTier());
 
 /**
- * predictHeadScore on prebuilt images: the block input's (built once
- * per block for all heads) and the head's Wq/Wk slices (built once
- * per block and LOD depth). The LOD depth is the images'.
+ * The EPRE's second level: requantises one head's LD projection
+ * estimates to INT12 (the EPRE feeds its own outputs back) and takes
+ * their LD QK^T, scaled by 1 / sqrt(d_head) and then by temp (two
+ * separately rounded float multiplies; temp 1 changes no bit).
+ *
+ * @param q_est LD Q projection of the head (tokens x d_head)
+ * @param k_est LD K projection of the head (tokens x d_head)
+ * @param temp  score temperature (TransformerBlock::scoreTemp)
  */
-Matrix predictHeadScore(const LdImage &x_img, const LdImage &wq_head,
-                        const LdImage &wk_head);
+Matrix predictScoreFromProjections(const Matrix &q_est,
+                                   const Matrix &k_est, LodMode mode,
+                                   SimdTier simd = defaultSimdTier(),
+                                   float temp = 1.0f);
 
 /** Combines per-head decisions into block-level projection needs. */
 ProjectionNeeds combineNeeds(const std::vector<HeadDecision> &heads,

@@ -1,7 +1,8 @@
 #include "exion/sparsity/log_domain.h"
 
-#include <algorithm>
 #include <cstdlib>
+
+#include "exion/tensor/gemm.h"
 
 namespace exion
 {
@@ -44,75 +45,71 @@ ldProduct(i32 a, i32 b, LodMode mode)
     return negative ? -magnitude : magnitude;
 }
 
-LdImage
+namespace
+{
+
+/** img(v) = sign(v) * (ts)lodValue(|v|), branch-free in the sign
+    (operand signs are data-random). */
+template <LodMode Mode>
+inline i32
+signedImage(i32 v)
+{
+    const u32 sign = static_cast<u32>(v >> 31); // 0 or all ones
+    const u32 mag = (static_cast<u32>(v) ^ sign) - sign;
+    const u32 lod =
+        Mode == LodMode::Single ? lodValue(mag) : tsLodValue(mag);
+    return static_cast<i32>((lod ^ sign) - sign);
+}
+
+/** out[r * ld_r + c * ld_c] = img(q(r, c)). */
+template <LodMode Mode>
+void
+fillImage(const QuantMatrix &q, i32 *out, Index ld_r, Index ld_c)
+{
+    const Index cols = q.cols();
+    for (Index r = 0; r < q.rows(); ++r) {
+        const i32 *row = q.rowPtr(r);
+        i32 *dst = out + r * ld_r;
+        for (Index c = 0; c < cols; ++c)
+            dst[c * ld_c] = signedImage<Mode>(row[c]);
+    }
+}
+
+} // namespace
+
+QuantMatrix
 ldImage(const QuantMatrix &q, LodMode mode, bool transposed)
 {
     EXION_ASSERT(q.params().width != IntWidth::Int32,
                  "log-domain operands must be at most Int16 wide");
-    LdImage img;
-    img.rows = transposed ? q.cols() : q.rows();
-    img.cols = transposed ? q.rows() : q.cols();
-    img.mode = mode;
-    img.scale = q.scale();
-    img.values.resize(q.size());
-    for (Index r = 0; r < q.rows(); ++r) {
-        const i32 *row = q.rowPtr(r);
-        for (Index c = 0; c < q.cols(); ++c) {
-            const i32 v = row[c];
-            const u32 mag = static_cast<u32>(std::abs(static_cast<i64>(v)));
-            const i64 lod =
-                mode == LodMode::Single ? lodValue(mag) : tsLodValue(mag);
-            // Branch-free sign: operand signs are data-random.
-            const i64 sign = v >> 31; // 0 or -1
-            img.values[transposed ? c * q.rows() + r : r * q.cols() + c] =
-                static_cast<double>((lod ^ sign) - sign);
-        }
-    }
+    QuantMatrix img(transposed ? q.cols() : q.rows(),
+                    transposed ? q.rows() : q.cols(), q.params());
+    if (img.size() == 0)
+        return img;
+    // Element (r, c) of q lands at (c, r) of a transposed image.
+    const Index ld_r = transposed ? 1 : q.cols();
+    const Index ld_c = transposed ? q.rows() : 1;
+    if (mode == LodMode::Single)
+        fillImage<LodMode::Single>(q, &img(0, 0), ld_r, ld_c);
+    else
+        fillImage<LodMode::TwoStep>(q, &img(0, 0), ld_r, ld_c);
     return img;
 }
 
 Matrix
-ldMatmul(const LdImage &a, const LdImage &b)
-{
-    EXION_ASSERT(a.cols == b.rows, "ldMatmul shape mismatch");
-    EXION_ASSERT(a.mode == b.mode, "ldMatmul LOD depth mismatch");
-    EXION_ASSERT(a.cols < (Index{1} << 22),
-                 "ldMatmul k too long for exact accumulation");
-    Matrix c(a.rows, b.cols);
-    const double out_scale = a.scale * b.scale;
-    const Index n = b.cols;
-    // One exact accumulator per output column; the j-sweep carries
-    // no dependency, so it vectorises at whatever width the build
-    // targets without changing a single bit of the sum.
-    std::vector<double> acc(n);
-    for (Index i = 0; i < a.rows; ++i) {
-        std::fill(acc.begin(), acc.end(), 0.0);
-        const double *arow = a.values.data() + i * a.cols;
-        for (Index k = 0; k < a.cols; ++k) {
-            const double aik = arow[k];
-            const double *brow = b.values.data() + k * n;
-            for (Index j = 0; j < n; ++j)
-                acc[j] += aik * brow[j];
-        }
-        float *crow = c.rowPtr(i);
-        for (Index j = 0; j < n; ++j)
-            crow[j] = static_cast<float>(acc[j] * out_scale);
-    }
-    return c;
-}
-
-Matrix
 ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
-         SimdTier)
+         SimdTier simd)
 {
-    return ldMatmul(ldImage(a, mode), ldImage(b, mode));
+    return matmulQuantWith(ldImage(a, mode), ldImage(b, mode),
+                           GemmBackend::Blocked, simd);
 }
 
 Matrix
 ldMatmulTransposed(const QuantMatrix &a, const QuantMatrix &b,
-                   LodMode mode, SimdTier)
+                   LodMode mode, SimdTier simd)
 {
-    return ldMatmul(ldImage(a, mode), ldImage(b, mode, true));
+    return matmulQuantWith(ldImage(a, mode), ldImage(b, mode, true),
+                           GemmBackend::Blocked, simd);
 }
 
 Matrix

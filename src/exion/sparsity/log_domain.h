@@ -6,13 +6,12 @@
  * two leading set bits (TS-LOD); a multiply becomes an exponent
  * addition realised as a shift, and accumulation of the resulting
  * one-hot values uses the one-hot adder tree (functionally: exact sums
- * of powers of two).
+ * of powers of two). Here both become an exact integer GEMM of the
+ * operands' LOD images.
  */
 
 #ifndef EXION_SPARSITY_LOG_DOMAIN_H_
 #define EXION_SPARSITY_LOG_DOMAIN_H_
-
-#include <vector>
 
 #include "exion/common/bitops.h"
 #include "exion/tensor/matrix.h"
@@ -38,50 +37,36 @@ enum class LodMode
 i64 ldProduct(i32 a, i32 b, LodMode mode);
 
 /**
- * Signed LOD image of a quantised operand: per element
+ * Signed LOD image of q (of q^T when transposed is set), as a
+ * QuantMatrix with q's params: per element
  * img(v) = sign(v) * lodValue(|v|) in Single mode and
  * sign(v) * tsLodValue(|v|) in TwoStep mode.
  *
  * The four TS-LOD cross terms (2^a1 + 2^a2)(2^b1 + 2^b2) are exactly
  * tsLodValue(|a|) * tsLodValue(|b|), and 2^(pa+pb) is
  * lodValue(|a|) * lodValue(|b|), so ldProduct(a, b, mode) ==
- * img(a) * img(b): a log-domain matmul is a plain GEMM of images.
- * Images are held as doubles, which represent them exactly.
- */
-struct LdImage
-{
-    Index rows = 0;
-    Index cols = 0;
-    LodMode mode = LodMode::TwoStep;
-    double scale = 1.0;         //!< the source operand's scale
-    std::vector<double> values; //!< row-major, rows x cols
-};
-
-/**
- * Builds the image of q (of q^T when transposed is set).
+ * img(a) * img(b): a log-domain matmul is a plain integer GEMM of
+ * images. |img(v)| <= |v|, so an image lies inside its source's
+ * IntWidth range (|img| <= 2048 for INT12) and that width's
+ * integer-GEMM chunk bound holds for it.
  *
- * @pre q's width is at most Int16: then |img| <= 2^15, every product
- *      is below 2^31 and any partial sum of fewer than 2^22 of them
- *      below 2^53, so the image GEMM is exact in any summation order.
+ * @pre q's width is at most Int16
  */
-LdImage ldImage(const QuantMatrix &q, LodMode mode,
-                bool transposed = false);
+QuantMatrix ldImage(const QuantMatrix &q, LodMode mode,
+                    bool transposed = false);
 
 /**
- * A (m x k) * B (k x n) of two images of the same LOD depth,
- * dequantised to float.
+ * Log-domain A (m x k) * B (k x n), dequantised to float: the Blocked
+ * integer GEMM of the two images (matmulQuantWith), each element
+ * float(acc * (a.scale * b.scale)).
  *
- * Accumulation is exact (the one-hot adder tree merges one-hot
- * addends losslessly; here, integer-valued doubles below 2^53), so
- * the result equals the ldProduct chain in every order and on every
- * host, and no SIMD tier is involved.
- */
-Matrix ldMatmul(const LdImage &a, const LdImage &b);
-
-/**
- * Log-domain A (m x k) * B (k x n): the image GEMM of a and b. The
- * SIMD tier is accepted for call-site uniformity only — the result is
- * the same in every tier.
+ * Accumulation is exact — the one-hot adder tree merges one-hot
+ * addends losslessly; here, i32 runs of at most
+ * floor((2^31 - 1) / (max|a| * max|b|)) terms (511 for INT12
+ * operands) folded into i64 (gemm.h) — so the result equals the
+ * ldProduct chain summed in i64, for any k, in every SIMD tier and on
+ * every host. No step goes through floating point before the final
+ * dequantisation. The tier only picks the kernel table.
  */
 Matrix ldMatmul(const QuantMatrix &a, const QuantMatrix &b, LodMode mode,
                 SimdTier simd = defaultSimdTier());

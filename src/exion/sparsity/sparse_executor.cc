@@ -1,8 +1,10 @@
 #include "exion/sparsity/sparse_executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "exion/model/network.h"
 #include "exion/tensor/ops.h"
 
 namespace exion
@@ -11,37 +13,84 @@ namespace exion
 SparseExecutor::SparseExecutor(const Options &opt)
     : opt_(opt),
       ffnReuse_(opt.ffnReuse, opt.quantize, opt.gemm, opt.simd, opt.tp),
-      epWeights_(opt.lodMode)
+      ownEpWeights_(opt.lodMode)
 {
+    EXION_ASSERT(opt.epWeights == nullptr
+                     || opt.epWeights->mode() == opt.lodMode,
+                 "borrowed EP weight images at another LOD depth");
 }
 
 EpWeightImages
 epWeightImages(const TransformerBlock &blk, LodMode mode)
 {
+    const Index d = blk.dModel();
     const Index dh = blk.headDim();
+    const Index n_heads = blk.nHeads();
     EpWeightImages img;
-    img.wq.reserve(blk.nHeads());
-    img.wk.reserve(blk.nHeads());
-    for (Index h = 0; h < blk.nHeads(); ++h) {
-        img.wq.push_back(ldImage(
-            QuantMatrix::fromFloat(sliceCols(blk.wq().weight(), h * dh, dh),
-                                   IntWidth::Int12),
-            mode));
-        img.wk.push_back(ldImage(
-            QuantMatrix::fromFloat(sliceCols(blk.wk().weight(), h * dh, dh),
-                                   IntWidth::Int12),
-            mode));
+    img.mode = mode;
+    img.wqk = QuantMatrix(d, 2 * d, QuantParams{1.0, IntWidth::Int12});
+    img.scales.resize(2 * n_heads);
+    const Matrix *weights[2] = {&blk.wq().weight(), &blk.wk().weight()};
+    for (Index half = 0; half < 2; ++half) {
+        for (Index h = 0; h < n_heads; ++h) {
+            const QuantMatrix head = ldImage(
+                QuantMatrix::fromFloat(sliceCols(*weights[half], h * dh, dh),
+                                       IntWidth::Int12),
+                mode);
+            img.scales[half * n_heads + h] = head.scale();
+            const Index c0 = half * d + h * dh;
+            for (Index r = 0; r < d; ++r)
+                std::copy(head.rowPtr(r), head.rowPtr(r) + dh,
+                          &img.wqk(r, c0));
+        }
     }
     return img;
 }
 
-const EpWeightImages &
-EpWeightCache::images(const TransformerBlock &blk)
+EpWeightSet::EpWeightSet(const DenoisingNetwork &net, LodMode mode)
+    : mode_(mode)
 {
-    const auto [it, inserted] = blocks_.try_emplace(blk.id());
-    if (inserted)
-        it->second = epWeightImages(blk, mode_);
-    return it->second;
+    blocks_.resize(net.numBlocks());
+    for (Index i = 0; i < net.numBlocks(); ++i) {
+        const TransformerBlock &blk = net.block(i);
+        EXION_ASSERT(static_cast<Index>(blk.id()) < blocks_.size()
+                         && !blocks_[blk.id()],
+                     "network block ids must be distinct and dense");
+        blocks_[blk.id()] = epWeightImages(blk, mode);
+    }
+}
+
+const EpWeightImages &
+EpWeightSet::at(const TransformerBlock &blk) const
+{
+    const Index id = static_cast<Index>(blk.id());
+    EXION_ASSERT(id < blocks_.size() && blocks_[id],
+                 "no EP weight images for block ", id);
+    const EpWeightImages &img = *blocks_[id];
+    EXION_ASSERT(img.wqk.rows() == blk.dModel()
+                     && img.scales.size() == 2 * blk.nHeads(),
+                 "EP weight images of block ", id,
+                 " do not match its shape");
+    return img;
+}
+
+const EpWeightImages &
+EpWeightSet::images(const TransformerBlock &blk)
+{
+    const Index id = static_cast<Index>(blk.id());
+    if (id >= blocks_.size())
+        blocks_.resize(id + 1);
+    if (!blocks_[id])
+        blocks_[id] = epWeightImages(blk, mode_);
+    return at(blk);
+}
+
+const EpWeightImages &
+epImagesFor(const SparseExecutor::Options &opt, EpWeightSet &own,
+            const TransformerBlock &blk)
+{
+    return opt.epWeights != nullptr ? opt.epWeights->at(blk)
+                                    : own.images(blk);
 }
 
 SparseExecutor::Options
@@ -88,12 +137,17 @@ projectNeededRows(const Matrix &x, const Linear &proj,
                   GemmBackend backend, SimdTier simd,
                   const TpContext &tp)
 {
-    Matrix out(x.rows(), proj.outDim());
     // Collect needed rows, project densely, scatter back. This keeps
     // the quantisation behaviour identical to the dense path.
-    Index n_needed = 0;
-    for (u8 v : needed)
-        n_needed += v;
+    const Index n_needed = ProjectionNeeds::countNeeded(needed);
+    if (n_needed == x.rows()) {
+        // Every row needed: the packed operand would be x itself.
+        Matrix projected = execWeightMatmul(x, proj, quantize, backend,
+                                            simd, tp);
+        addRowVector(projected, proj.bias());
+        return projected;
+    }
+    Matrix out(x.rows(), proj.outDim());
     if (n_needed == 0)
         return out;
 
@@ -126,9 +180,44 @@ Matrix
 SparseExecutor::epAttention(const TransformerBlock &blk,
                             const Matrix &x_norm)
 {
-    return epAttentionImpl(blk, x_norm, epWeights_.images(blk), opt_.ep,
+    return epAttentionImpl(blk, x_norm,
+                           epImagesFor(opt_, ownEpWeights_, blk), opt_.ep,
                            opt_.quantize, stats(), observers,
                            opt_.gemm, opt_.simd, opt_.tp);
+}
+
+void
+predictBlockScores(const TransformerBlock &blk, const Matrix &x_norm,
+                   const EpWeightImages &w_img, SimdTier simd,
+                   const std::function<void(Index, Matrix &)> &onHead)
+{
+    const Index d = blk.dModel();
+    const Index dh = blk.headDim();
+    const Index n_heads = blk.nHeads();
+    EXION_ASSERT(w_img.wqk.rows() == d && w_img.wqk.cols() == 2 * d
+                     && w_img.scales.size() == 2 * n_heads,
+                 "EP weight images for ", w_img.scales.size() / 2,
+                 " heads of width ", w_img.wqk.rows(), ", block has ",
+                 n_heads, " of width ", d);
+
+    // Every head's Q and K LD projections run as one integer GEMM
+    // against [Wq | Wk], each head's columns dequantised with
+    // x.scale * head.scale: every column's sum is independent of the
+    // others, so the bytes equal per-head GEMMs'.
+    const QuantMatrix x_img =
+        ldImage(QuantMatrix::fromFloat(x_norm, IntWidth::Int12),
+                w_img.mode);
+    std::vector<double> scales(2 * n_heads);
+    for (Index b = 0; b < scales.size(); ++b)
+        scales[b] = x_img.scale() * w_img.scales[b];
+    const Matrix est = matmulQuantBlockScaledWith(
+        x_img, w_img.wqk, scales, dh, GemmBackend::Blocked, simd);
+    for (Index h = 0; h < n_heads; ++h) {
+        Matrix scores = predictScoreFromProjections(
+            sliceCols(est, h * dh, dh), sliceCols(est, d + h * dh, dh),
+            w_img.mode, simd, static_cast<float>(blk.scoreTemp()));
+        onHead(h, scores);
+    }
 }
 
 Matrix
@@ -141,24 +230,15 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
     const Index d = blk.dModel();
     const Index dh = blk.headDim();
     const Index n_heads = blk.nHeads();
-    EXION_ASSERT(w_img.wq.size() == n_heads && w_img.wk.size() == n_heads,
-                 "EP weight images for ", w_img.wq.size(),
-                 " heads, block has ", n_heads);
+    const SimdKernels &kr = simdKernels(simd);
     const float inv_sqrt = static_cast<float>(blk.scoreTemp())
         / std::sqrt(static_cast<float>(dh));
 
     // --- EPRE: predicted attention scores and skip decisions. ---
-    const LdImage x_img =
-        ldImage(QuantMatrix::fromFloat(x_norm, IntWidth::Int12),
-                w_img.wq[0].mode);
     std::vector<HeadDecision> decisions;
     decisions.reserve(n_heads);
-    for (Index h = 0; h < n_heads; ++h) {
-        Matrix predicted =
-            predictHeadScore(x_img, w_img.wq[h], w_img.wk[h]);
-        for (Index i = 0; i < predicted.size(); ++i)
-            predicted.data()[i] *=
-                static_cast<float>(blk.scoreTemp());
+    predictBlockScores(blk, x_norm, w_img, simd,
+                       [&](Index h, const Matrix &predicted) {
         HeadDecision dec = decideFromPrediction(predicted, ep, simd);
         if (observers.onScoreMask)
             observers.onScoreMask(blk.id(), static_cast<int>(h),
@@ -166,7 +246,7 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
         stats.scoreSparsitySum += dec.scoreSparsity();
         ++stats.scoreSparsitySamples;
         decisions.push_back(std::move(dec));
-    }
+    });
     const ProjectionNeeds needs = combineNeeds(decisions, t);
 
     const Index nq = ProjectionNeeds::countNeeded(needs.qRowNeeded);
@@ -247,18 +327,17 @@ epAttentionImpl(const TransformerBlock &blk, const Matrix &x_norm,
             }
             const float inv_denom = static_cast<float>(1.0 / denom);
 
-            // Attention x V over kept entries: one dh-wide sweep per
-            // kept column into the (zero-initialised) concat slice.
-            // Per output element the terms add in ascending idx order
-            // from +0.0f, with the probability weight rounded once
-            // before the sweep — the left-associated golden chain.
-            float *crow = concat.rowPtr(r) + h * dh;
-            for (Index idx = 0; idx < kept_cols.size(); ++idx) {
-                const float *vrow = v.rowPtr(kept_cols[idx]) + h * dh;
-                const float p = row_scores[idx] * inv_denom;
-                for (Index c = 0; c < dh; ++c)
-                    crow[c] += p * vrow[c];
-            }
+            // Attention x V over kept entries, the dh-wide row of
+            // accumulators held across every kept V row. Per output
+            // element the terms add in ascending idx order from
+            // +0.0f, with each probability weight rounded once first
+            // — the left-associated golden chain.
+            for (Index idx = 0; idx < kept_cols.size(); ++idx)
+                row_scores[idx] *= inv_denom;
+            kr.weightedRowSumF32(concat.rowPtr(r) + h * dh,
+                                 v.rowPtr(0) + h * dh, v.rowStride(),
+                                 kept_cols.data(), row_scores.data(),
+                                 kept_cols.size(), dh);
         }
         stats.attnOpsDense += mmulOps(t, dh, t) + mmulOps(t, t, dh);
         stats.attnOpsExecuted += 2 * 2 * kept_total * dh;

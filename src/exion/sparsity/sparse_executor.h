@@ -9,7 +9,8 @@
 #ifndef EXION_SPARSITY_SPARSE_EXECUTOR_H_
 #define EXION_SPARSITY_SPARSE_EXECUTOR_H_
 
-#include <unordered_map>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "exion/model/config.h"
@@ -20,38 +21,63 @@
 namespace exion
 {
 
+class DenoisingNetwork;
+
 /**
- * Eager prediction's weight operands for one block: the signed LOD
- * images of every head's Wq and Wk column slice, each slice
+ * Eager prediction's weight operands for one block, laid out so every
+ * head's Q and K LD projections run as one integer GEMM: the signed
+ * LOD images of [Wq | Wk], each head's Wq and Wk column slice
  * quantised to INT12 with its own scale.
  */
 struct EpWeightImages
 {
-    std::vector<LdImage> wq; //!< per head, d_model x d_head
-    std::vector<LdImage> wk; //!< per head, d_model x d_head
+    LodMode mode = LodMode::TwoStep;
+    /**
+     * d_model x 2 d_model images: columns [h dh, (h+1) dh) hold head
+     * h's Wq slice, columns d_model + [h dh, (h+1) dh) its Wk slice.
+     * The matrix's own scale is unused; see scales.
+     */
+    QuantMatrix wqk;
+    /** Per dh-wide column block of wqk: the Wq heads', then the Wk
+        heads' INT12 scales (2 nHeads). */
+    std::vector<double> scales;
 };
 
 /** Builds a block's EpWeightImages at one LOD depth. */
 EpWeightImages epWeightImages(const TransformerBlock &blk, LodMode mode);
 
 /**
- * Per-executor EpWeightImages, built on a block's first EP call and
- * reused by every later iteration. Weights are immutable for a block
- * id, and an executor runs one model at one LOD depth, so the block
- * id is the key (the pattern of FfnReuse's transposed FFN-1 cache).
- * Executors that never run EP never build an entry.
+ * A model's EpWeightImages at one LOD depth, indexed by block id.
+ *
+ * A set built from a network holds every block's images up front and
+ * is read-only afterwards, so any number of executors on any threads
+ * can borrow it: BatchEngine builds one per registered model and
+ * hands it to every executor it makes (SparseExecutor::Options::
+ * epWeights). An executor given no set fills its own one block at a
+ * time on first use (images()), as weights are immutable for a block
+ * id within one model.
  */
-class EpWeightCache
+class EpWeightSet
 {
   public:
-    explicit EpWeightCache(LodMode mode) : mode_(mode) {}
+    /** An empty set, filled by images(). */
+    explicit EpWeightSet(LodMode mode) : mode_(mode) {}
 
-    /** The block's images, built on first use. */
+    /** Every block of net, built now. */
+    EpWeightSet(const DenoisingNetwork &net, LodMode mode);
+
+    /** LOD depth of every image in the set. */
+    LodMode mode() const { return mode_; }
+
+    /** The block's images. @pre the set holds them */
+    const EpWeightImages &at(const TransformerBlock &blk) const;
+
+    /** The block's images, built on first use. Not thread-safe. */
     const EpWeightImages &images(const TransformerBlock &blk);
 
   private:
     LodMode mode_;
-    std::unordered_map<int, EpWeightImages> blocks_;
+    std::vector<std::optional<EpWeightImages>> blocks_; //!< by id
 };
 
 /**
@@ -91,6 +117,12 @@ class SparseExecutor : public BlockExecutor
          * projection columns, so tp=N is bit-identical to solo.
          */
         TpContext tp{};
+        /**
+         * A shared, prebuilt EpWeightSet at lodMode to borrow (it
+         * must outlive the executor). Null: the executor builds its
+         * own images on each block's first EP call.
+         */
+        const EpWeightSet *epWeights = nullptr;
     };
 
     explicit SparseExecutor(const Options &opt);
@@ -135,8 +167,30 @@ class SparseExecutor : public BlockExecutor
 
     Options opt_;
     FfnReuse ffnReuse_;
-    EpWeightCache epWeights_;
+    EpWeightSet ownEpWeights_; //!< used when opt_.epWeights is null
 };
+
+/** The EP weight images of blk an executor with options opt runs:
+    opt.epWeights' when set, own's (built on first use) otherwise. */
+const EpWeightImages &epImagesFor(const SparseExecutor::Options &opt,
+                                  EpWeightSet &own,
+                                  const TransformerBlock &blk);
+
+/**
+ * Eager prediction of every head's attention score for one block —
+ * the EPRE half of epAttentionImpl. All heads' Q and K LD projections
+ * run as one integer GEMM of x's image against w_img.wqk
+ * (matmulQuantBlockScaledWith, each head's columns with
+ * x.scale * head.scale), then each head goes through
+ * predictScoreFromProjections and the block's score temperature.
+ *
+ * @param onHead called with (head, its predicted tokens x tokens
+ *               score) in head order; the matrix is the callee's to
+ *               read (or move from) until it returns
+ */
+void predictBlockScores(const TransformerBlock &blk, const Matrix &x_norm,
+                        const EpWeightImages &w_img, SimdTier simd,
+                        const std::function<void(Index, Matrix &)> &onHead);
 
 /**
  * Eager-prediction attention on one request's activation rows.

@@ -123,6 +123,22 @@ Bitmask2D::writeRowBits(Index r, Index c0, u64 bits, Index nbits)
     }
 }
 
+u64
+Bitmask2D::rowBits(Index r, Index c0, Index nbits) const
+{
+    EXION_ASSERT(r < rows_ && nbits <= 64 && c0 + nbits <= cols_,
+                 "rowBits range out of row");
+    if (nbits == 0)
+        return 0;
+    const Index start = r * cols_ + c0;
+    const Index wi = start >> 6;
+    const Index off = start & 63;
+    u64 bits = words_[wi] >> off;
+    if (nbits > 64 - off)
+        bits |= words_[wi + 1] << (64 - off);
+    return bits & lowBits(nbits);
+}
+
 void
 Bitmask2D::orWith(const Bitmask2D &other)
 {

@@ -94,6 +94,13 @@ class Bitmask2D
     void writeRowBits(Index r, Index c0, u64 bits, Index nbits);
 
     /**
+     * Bits (r, c0) .. (r, c0 + nbits - 1) as the low nbits of the
+     * result (column c0 + i -> bit i), the rest zero: writeRowBits'
+     * read twin, under the same range precondition.
+     */
+    u64 rowBits(Index r, Index c0, Index nbits) const;
+
+    /**
      * Calls f(r, c) for every set bit in row-major order. Word-at-a-
      * time: whole zero words cost one test, set bits are located with
      * countr_zero instead of a per-column get() sweep.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <span>
 #include <vector>
 
 namespace exion
@@ -156,52 +158,75 @@ blockedMatmulTransposed(const Matrix &a, const Matrix &b, SimdTier simd)
 }
 
 Matrix
-referenceMatmulQuant(const QuantMatrix &a, const QuantMatrix &b)
+referenceMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
+                     std::span<const double> scales, Index width)
 {
     Matrix c(a.rows(), b.cols());
-    const double out_scale = a.scale() * b.scale();
     for (Index i = 0; i < a.rows(); ++i) {
         for (Index j = 0; j < b.cols(); ++j) {
             i64 acc = 0;
             for (Index k = 0; k < a.cols(); ++k)
                 acc += static_cast<i64>(a(i, k)) * b(k, j);
-            c(i, j) = static_cast<float>(acc * out_scale);
+            c(i, j) = static_cast<float>(acc * scales[j / width]);
         }
     }
     return c;
 }
 
+/**
+ * Longest run of k terms whose sum of products cannot leave i32 for
+ * operands of these widths; 0 when a single product might.
+ */
+Index
+i32RunLength(IntWidth a, IntWidth b)
+{
+    const i64 max_a = i64{intWidthMax(a)} + 1;
+    const i64 max_b = i64{intWidthMax(b)} + 1;
+    return static_cast<Index>(i64{std::numeric_limits<i32>::max()}
+                              / (max_a * max_b));
+}
+
+/**
+ * Rows of C per Blocked quantised-GEMM block: the block's i64
+ * accumulators (at most 32 x 128, 32 KiB) stay cache-resident until
+ * they are dequantised, and no m x n i64 temporary is ever allocated.
+ */
+constexpr Index kQuantRows = 32;
+
 Matrix
 blockedMatmulQuant(const QuantMatrix &a, const QuantMatrix &b,
+                   std::span<const double> scales, Index width,
                    SimdTier simd)
 {
-    const SimdKernels &kr = simdKernels(simd);
-    Matrix c(a.rows(), b.cols());
-    const double out_scale = a.scale() * b.scale();
+    const Index chunk = i32RunLength(a.params().width, b.params().width);
+    if (chunk == 0 || a.cols() == 0)
+        return referenceMatmulQuant(a, b, scales, width);
     const Index m = a.rows();
-    const Index k_dim = a.cols();
     const Index n = b.cols();
-    // The reference walks B column-wise (stride n) in its inner loop.
-    // Pack each j-panel of B transposed — packed[jj * k_dim + k] —
-    // so both operands stream contiguously. Integer accumulation is
-    // exact in any order; we keep k ascending anyway to match the
-    // reference operation-for-operation.
-    std::vector<i32> packed(std::min(kPanelCols, n) * k_dim);
+    Matrix c(m, n);
+    const SimdKernels &kr = simdKernels(simd);
+    const Index ld = std::min(n, kPanelCols);
+    std::vector<i64> acc(std::min(m, kQuantRows) * ld);
     for (Index j0 = 0; j0 < n; j0 += kPanelCols) {
         const Index nb = std::min(kPanelCols, n - j0);
-        for (Index k = 0; k < k_dim; ++k)
-            for (Index jj = 0; jj < nb; ++jj)
-                packed[jj * k_dim + k] = b(k, j0 + jj);
-        for (Index i = 0; i < m; ++i) {
-            const i32 *arow = a.rowPtr(i);
-            float *crow = c.rowPtr(i) + j0;
-            // One widening dot kernel per packed column (integer sums
-            // are exact in any grouping, so this is legal in every
-            // tier).
-            for (Index jj = 0; jj < nb; ++jj)
-                crow[jj] = static_cast<float>(
-                    kr.dotI32(arow, packed.data() + jj * k_dim, k_dim)
-                    * out_scale);
+        for (Index i0 = 0; i0 < m; i0 += kQuantRows) {
+            const Index mb = std::min(kQuantRows, m - i0);
+            // B's panel is read in place; at nb <= kPanelCols it stays
+            // cache-resident while every row tile of A sweeps it.
+            kr.gemmPanelI32(acc.data(), ld, a.rowPtr(i0), a.rowStride(),
+                            b.rowPtr(0) + j0, b.rowStride(), mb, nb,
+                            a.cols(), chunk);
+            // Dequantise each row one same-scale column run at a time.
+            for (Index r = 0; r < mb; ++r) {
+                for (Index j = j0; j < j0 + nb;) {
+                    const Index run =
+                        std::min(j0 + nb, (j / width + 1) * width) - j;
+                    kr.dequantizeI64F32(c.rowPtr(i0 + r) + j,
+                                        acc.data() + r * ld + (j - j0),
+                                        scales[j / width], run);
+                    j += run;
+                }
+            }
         }
     }
     return c;
@@ -268,10 +293,25 @@ Matrix
 matmulQuantWith(const QuantMatrix &a, const QuantMatrix &b,
                 GemmBackend backend, SimdTier simd)
 {
-    EXION_ASSERT(a.cols() == b.rows(), "quant matmul shape mismatch");
+    const double scale = a.scale() * b.scale();
+    return matmulQuantBlockScaledWith(a, b, {&scale, 1},
+                                      std::max<Index>(1, b.cols()),
+                                      backend, simd);
+}
+
+Matrix
+matmulQuantBlockScaledWith(const QuantMatrix &a, const QuantMatrix &b,
+                           std::span<const double> scales, Index width,
+                           GemmBackend backend, SimdTier simd)
+{
+    EXION_ASSERT(a.cols() == b.rows(), "quant matmul shape (", a.rows(),
+                 "x", a.cols(), ") * (", b.rows(), "x", b.cols(), ")");
+    EXION_ASSERT(width > 0 && scales.size() * width >= b.cols(),
+                 scales.size(), " scales of ", width,
+                 " columns for ", b.cols(), " columns");
     return backend == GemmBackend::Blocked
-        ? blockedMatmulQuant(a, b, simd)
-        : referenceMatmulQuant(a, b);
+        ? blockedMatmulQuant(a, b, scales, width, simd)
+        : referenceMatmulQuant(a, b, scales, width);
 }
 
 } // namespace exion

@@ -14,7 +14,9 @@
  *    AVX2 4x16) in registers over the whole k range. A and B are read
  *    through their row strides, so column-slice views need no copy.
  *    Built for the tall stacked activations the cohort path produces
- *    (many rows against one shared weight matrix).
+ *    (many rows against one shared weight matrix). The quantised
+ *    forms run its integer twin, gemmPanelI32, the same way (see
+ *    matmulQuantBlockScaledWith).
  *
  * Bit-identity contract: for every output element both backends
  * perform the identical sequence of floating-point operations — the
@@ -40,6 +42,7 @@
 #define EXION_TENSOR_GEMM_H_
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "exion/tensor/matrix.h"
@@ -91,10 +94,48 @@ Matrix matmulTransposedWith(const Matrix &a, const Matrix &b,
                             GemmBackend backend,
                             SimdTier simd = defaultSimdTier());
 
-/** Integer matmul with an explicit backend. @pre A.cols() == B.rows(). */
+/**
+ * Integer matmul with an explicit backend: C(i, j) =
+ * float(acc(i, j) * (A.scale() * B.scale())), where acc is the exact
+ * i64 sum over k of A(i, k) * B(k, j).
+ * @pre as matmulQuantBlockScaledWith
+ */
 Matrix matmulQuantWith(const QuantMatrix &a, const QuantMatrix &b,
                        GemmBackend backend,
                        SimdTier simd = defaultSimdTier());
+
+/**
+ * Integer matmul dequantised with one scale per block of `width`
+ * columns: C(i, j) = float(acc(i, j) * scales[j / width]), acc the
+ * exact i64 sum over k of A(i, k) * B(k, j) (converted to double
+ * before the multiply). B's and A's own scales are not applied —
+ * fold them into scales. This is how eager prediction dequantises
+ * every head's LD projection out of one across-head GEMM against
+ * [Wq | Wk], each head's columns with its own scale: every column's
+ * sum is independent of the others, so the bytes equal a per-head
+ * GEMM's.
+ *
+ * Integer sums are exact in any order, so both backends and every
+ * tier yield the same bytes. Blocked runs the kernel table's
+ * gemmPanelI32 over 128-column panels of B read in place, with i32
+ * accumulators over runs of chunk = floor((2^31 - 1) /
+ * (max|a| * max|b|)) terms folded into i64, where max|v| =
+ * 2^(bits - 1) for each operand's IntWidth (quantize() clamps to
+ * [-2^(bits-1), 2^(bits-1) - 1]): 511 terms for two INT12 operands.
+ * Each 32 x 128 block of accumulators is dequantised (the table's
+ * dequantizeI64F32) while still in cache, so no m x n i64 temporary
+ * exists. An Int32 operand leaves no i32 run, and Blocked then falls
+ * back to the reference loop.
+ *
+ * @pre A.cols() == B.rows(), width > 0, scales cover B's columns, and
+ *      every value lies in its operand's IntWidth range (as
+ *      quantize() and ldImage() guarantee)
+ */
+Matrix matmulQuantBlockScaledWith(const QuantMatrix &a,
+                                  const QuantMatrix &b,
+                                  std::span<const double> scales,
+                                  Index width, GemmBackend backend,
+                                  SimdTier simd = defaultSimdTier());
 
 } // namespace exion
 

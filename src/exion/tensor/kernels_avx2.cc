@@ -5,9 +5,9 @@
  * Exactness discipline: float kernels vectorize across independent
  * output elements with separate _mm256_mul_ps / _mm256_add_ps (never
  * FMA — the golden chains round twice per term), ragged tails fall
- * back to the scalar reference chains (the GEMM panel kernel masks
- * them instead), and compares are ordered-quiet (_CMP_*_OQ) so NaN
- * lanes never set mask bits.
+ * back to the scalar reference chains (the GEMM panel kernels and
+ * the gathered-row sum mask them instead), and compares are
+ * ordered-quiet (_CMP_*_OQ) so NaN lanes never set mask bits.
  *
  * This TU alone is compiled with -mavx2 (plus -ffp-contract=off);
  * it must only be *called* after the runtime probe confirmed AVX2.
@@ -16,6 +16,8 @@
 #include "exion/tensor/simd_dispatch.h"
 
 #if defined(__AVX2__)
+
+#include <algorithm>
 
 #include <immintrin.h>
 
@@ -142,6 +144,232 @@ gemmPanelF32Avx2(float *c, Index ldc, const float *a, Index lda,
         break;
     default:
         break;
+    }
+}
+
+/**
+ * One R x 8V tile of an integer GEMM over the whole k range, one run
+ * of at most chunk terms at a time: R*V i32 accumulators stay in
+ * registers over a run, then each is sign-extended into two 4-lane
+ * i64 halves that are stored (first run) or added into C. With Tail
+ * only the first `tail` lanes (1..8) of the last column vector are
+ * live: masked-off B lanes load 0 (and never fault), and masked-off C
+ * lanes are neither read nor written.
+ */
+template <int R, int V, bool Tail>
+inline void
+panelTileI32Avx2(i64 *c, Index ldc, const i32 *a, Index lda,
+                 const i32 *b, Index ldb, Index k, Index chunk,
+                 Index tail)
+{
+    const __m256i live = _mm256_set1_epi64x(static_cast<long long>(tail));
+    const __m256i m32 = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(tail)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256i mlo =
+        _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256i mhi =
+        _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(4, 5, 6, 7));
+    Index k0 = 0;
+    do {
+        const Index k1 = std::min(k, k0 + chunk);
+        __m256i acc[R][V];
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm256_setzero_si256();
+        for (Index kk = k0; kk < k1; ++kk) {
+            const i32 *brow = b + kk * ldb;
+            __m256i bv[V];
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v)
+                bv[v] = Tail && v == V - 1
+                    ? _mm256_maskload_epi32(brow + 8 * v, m32)
+                    : _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i *>(brow + 8 * v));
+#pragma GCC unroll 4
+            for (int r = 0; r < R; ++r) {
+                const __m256i av = _mm256_set1_epi32(a[r * lda + kk]);
+#pragma GCC unroll 2
+                for (int v = 0; v < V; ++v)
+                    acc[r][v] = _mm256_add_epi32(
+                        acc[r][v], _mm256_mullo_epi32(av, bv[v]));
+            }
+        }
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v) {
+                auto *dst =
+                    reinterpret_cast<long long *>(c + r * ldc + 8 * v);
+                __m256i lo = _mm256_cvtepi32_epi64(
+                    _mm256_castsi256_si128(acc[r][v]));
+                __m256i hi = _mm256_cvtepi32_epi64(
+                    _mm256_extracti128_si256(acc[r][v], 1));
+                if (Tail && v == V - 1) {
+                    if (k0 > 0) {
+                        lo = _mm256_add_epi64(
+                            lo, _mm256_maskload_epi64(dst, mlo));
+                        hi = _mm256_add_epi64(
+                            hi, _mm256_maskload_epi64(dst + 4, mhi));
+                    }
+                    _mm256_maskstore_epi64(dst, mlo, lo);
+                    _mm256_maskstore_epi64(dst + 4, mhi, hi);
+                } else {
+                    auto *vdst = reinterpret_cast<__m256i *>(dst);
+                    if (k0 > 0) {
+                        lo = _mm256_add_epi64(lo,
+                                              _mm256_loadu_si256(vdst));
+                        hi = _mm256_add_epi64(
+                            hi, _mm256_loadu_si256(vdst + 1));
+                    }
+                    _mm256_storeu_si256(vdst, lo);
+                    _mm256_storeu_si256(vdst + 1, hi);
+                }
+            }
+        k0 = k1;
+    } while (k0 < k);
+}
+
+/** R rows of integer C across all n columns, tiled like
+    panelRowsAvx2. */
+template <int R>
+void
+panelRowsI32Avx2(i64 *c, Index ldc, const i32 *a, Index lda,
+                 const i32 *b, Index ldb, Index n, Index k, Index chunk)
+{
+    Index j = 0;
+    for (; j + 16 <= n; j += 16)
+        panelTileI32Avx2<R, 2, false>(c + j, ldc, a, lda, b + j, ldb, k,
+                                      chunk, 0);
+    const Index rest = n - j;
+    if (rest > 8)
+        panelTileI32Avx2<R, 2, true>(c + j, ldc, a, lda, b + j, ldb, k,
+                                     chunk, rest - 8);
+    else if (rest == 8)
+        panelTileI32Avx2<R, 1, false>(c + j, ldc, a, lda, b + j, ldb, k,
+                                      chunk, 0);
+    else if (rest > 0)
+        panelTileI32Avx2<R, 1, true>(c + j, ldc, a, lda, b + j, ldb, k,
+                                     chunk, rest);
+}
+
+void
+gemmPanelI32Avx2(i64 *c, Index ldc, const i32 *a, Index lda,
+                 const i32 *b, Index ldb, Index m, Index n, Index k,
+                 Index chunk)
+{
+    Index i = 0;
+    for (; i + 4 <= m; i += 4)
+        panelRowsI32Avx2<4>(c + i * ldc, ldc, a + i * lda, lda, b, ldb,
+                            n, k, chunk);
+    c += i * ldc;
+    a += i * lda;
+    switch (m - i) {
+    case 3:
+        panelRowsI32Avx2<3>(c, ldc, a, lda, b, ldb, n, k, chunk);
+        break;
+    case 2:
+        panelRowsI32Avx2<2>(c, ldc, a, lda, b, ldb, n, k, chunk);
+        break;
+    case 1:
+        panelRowsI32Avx2<1>(c, ldc, a, lda, b, ldb, n, k, chunk);
+        break;
+    default:
+        break;
+    }
+}
+
+void
+dequantizeI64F32Avx2(float *out, const i64 *acc, double scale, Index n)
+{
+    // AVX2 has no i64 -> double convert: each lane's signed high and
+    // unsigned low 32 bits are converted exactly (the low half offset
+    // by 2^31 through the signed convert, then re-added exactly),
+    // hi * 2^32 is exact, and the final add rounds once — the
+    // correctly rounded double(acc) of the scalar conversion.
+    const __m256i split = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+    const __m128i flip = _mm_set1_epi32(static_cast<int>(0x80000000u));
+    const __m256d two31 = _mm256_set1_pd(2147483648.0);
+    const __m256d two32 = _mm256_set1_pd(4294967296.0);
+    const __m256d vscale = _mm256_set1_pd(scale);
+    Index i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256i x = _mm256_permutevar8x32_epi32(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(acc + i)),
+            split);
+        const __m256d hi =
+            _mm256_cvtepi32_pd(_mm256_extracti128_si256(x, 1));
+        const __m256d lo = _mm256_add_pd(
+            _mm256_cvtepi32_pd(
+                _mm_xor_si128(_mm256_castsi256_si128(x), flip)),
+            two31);
+        const __m256d d = _mm256_add_pd(_mm256_mul_pd(hi, two32), lo);
+        _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_mul_pd(d, vscale)));
+    }
+    if (i < n)
+        dequantizeI64F32Scalar(out + i, acc + i, scale, n - i);
+}
+
+/**
+ * Q 8-lane accumulators (the last masked to `tail`) over every
+ * gathered row: the golden chain per lane, out stored once.
+ */
+template <int Q>
+inline void
+rowSumBlockAvx2(float *out, const float *v, Index ldv, const Index *rows,
+                const float *w, Index count, __m256i tail)
+{
+    __m256 acc[Q];
+#pragma GCC unroll 4
+    for (int q = 0; q < Q; ++q)
+        acc[q] = _mm256_setzero_ps();
+    for (Index t = 0; t < count; ++t) {
+        const float *vrow = v + rows[t] * ldv;
+        const __m256 wt = _mm256_set1_ps(w[t]);
+#pragma GCC unroll 4
+        for (int q = 0; q < Q; ++q) {
+            const __m256 x = q == Q - 1
+                ? _mm256_maskload_ps(vrow + 8 * q, tail)
+                : _mm256_loadu_ps(vrow + 8 * q);
+            acc[q] = _mm256_add_ps(acc[q], _mm256_mul_ps(wt, x));
+        }
+    }
+#pragma GCC unroll 4
+    for (int q = 0; q < Q; ++q) {
+        if (q == Q - 1)
+            _mm256_maskstore_ps(out + 8 * q, tail, acc[q]);
+        else
+            _mm256_storeu_ps(out + 8 * q, acc[q]);
+    }
+}
+
+void
+weightedRowSumF32Avx2(float *out, const float *v, Index ldv,
+                      const Index *rows, const float *w, Index count,
+                      Index n)
+{
+    for (Index j = 0; j < n; j += 32) {
+        const Index nb = std::min<Index>(32, n - j);
+        const Index last = nb - 8 * ((nb - 1) / 8); // 1..8 lanes
+        const __m256i tail = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(last)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        switch ((nb + 7) / 8) {
+        case 4:
+            rowSumBlockAvx2<4>(out + j, v + j, ldv, rows, w, count, tail);
+            break;
+        case 3:
+            rowSumBlockAvx2<3>(out + j, v + j, ldv, rows, w, count, tail);
+            break;
+        case 2:
+            rowSumBlockAvx2<2>(out + j, v + j, ldv, rows, w, count, tail);
+            break;
+        default:
+            rowSumBlockAvx2<1>(out + j, v + j, ldv, rows, w, count, tail);
+            break;
+        }
     }
 }
 
@@ -276,6 +504,9 @@ avx2Table()
         "avx2",
         axpyF32Avx2,
         gemmPanelF32Avx2,
+        gemmPanelI32Avx2,
+        dequantizeI64F32Avx2,
+        weightedRowSumF32Avx2,
         dotF32Avx2,
         dotI32Avx2,
         absGreaterMask64Avx2,

@@ -143,6 +143,9 @@ neonTable()
         "neon",
         axpyF32Neon,
         gemmPanelF32Neon,
+        gemmPanelI32Scalar,
+        dequantizeI64F32Scalar,
+        weightedRowSumF32Scalar,
         dotF32Neon,
         dotI32Neon,
         absGreaterMask64Scalar,

@@ -12,6 +12,7 @@
 
 #include "exion/tensor/simd_dispatch.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -63,6 +64,58 @@ gemmPanelF32Scalar(float *c, Index ldc, const float *a, Index lda,
         for (; kk < k; ++kk)
             axpyF32Scalar(crow, b + kk * ldb, arow[kk], n);
     }
+}
+
+void
+gemmPanelI32Scalar(i64 *c, Index ldc, const i32 *a, Index lda,
+                   const i32 *b, Index ldb, Index m, Index n, Index k,
+                   Index chunk)
+{
+    // One C row at a time in 64-column strips: each strip sums a run
+    // of at most chunk k terms in i32 accumulators, then folds the run
+    // into the row's i64 elements.
+    constexpr Index kStrip = 64;
+    i32 acc[kStrip];
+    for (Index i = 0; i < m; ++i) {
+        const i32 *arow = a + i * lda;
+        i64 *crow = c + i * ldc;
+        for (Index j0 = 0; j0 < n; j0 += kStrip) {
+            const Index nb = std::min(kStrip, n - j0);
+            for (Index jj = 0; jj < nb; ++jj)
+                crow[j0 + jj] = 0;
+            for (Index k0 = 0; k0 < k; k0 += chunk) {
+                const Index k1 = std::min(k, k0 + chunk);
+                for (Index jj = 0; jj < nb; ++jj)
+                    acc[jj] = 0;
+                for (Index kk = k0; kk < k1; ++kk) {
+                    const i32 av = arow[kk];
+                    const i32 *brow = b + kk * ldb + j0;
+                    for (Index jj = 0; jj < nb; ++jj)
+                        acc[jj] += av * brow[jj];
+                }
+                for (Index jj = 0; jj < nb; ++jj)
+                    crow[j0 + jj] += acc[jj];
+            }
+        }
+    }
+}
+
+void
+dequantizeI64F32Scalar(float *out, const i64 *acc, double scale, Index n)
+{
+    for (Index i = 0; i < n; ++i)
+        out[i] = static_cast<float>(static_cast<double>(acc[i]) * scale);
+}
+
+void
+weightedRowSumF32Scalar(float *out, const float *v, Index ldv,
+                        const Index *rows, const float *w, Index count,
+                        Index n)
+{
+    for (Index j = 0; j < n; ++j)
+        out[j] = 0.0f;
+    for (Index t = 0; t < count; ++t)
+        axpyF32Scalar(out, v + rows[t] * ldv, w[t], n);
 }
 
 float
@@ -135,6 +188,9 @@ scalarTable()
         "scalar",
         axpyF32Scalar,
         gemmPanelF32Scalar,
+        gemmPanelI32Scalar,
+        dequantizeI64F32Scalar,
+        weightedRowSumF32Scalar,
         dotF32Scalar,
         dotI32Scalar,
         absGreaterMask64Scalar,

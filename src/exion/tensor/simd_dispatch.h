@@ -4,9 +4,10 @@
  *
  * Every open-coded inner loop the profiles flagged — bitmask
  * popcount/compare words, FFN-Reuse threshold scans and masked
- * products, eager prediction's compare loops, the register-blocked
- * panel micro-kernel under every float Blocked GEMM — now calls a
- * *named kernel* out of a function table.
+ * products, eager prediction's compare loops and kept-position AV
+ * sweep, the register-blocked panel micro-kernels under every float
+ * Blocked GEMM and every Blocked integer (quantised or log-domain)
+ * GEMM — now calls a *named kernel* out of a function table.
  * One table per instruction set
  * (kernels_{scalar,avx2,avx512,neon}.cc), probed once at runtime
  * (CPUID / compile-time ISA) and selected behind the scalar
@@ -107,6 +108,56 @@ struct SimdKernels
     void (*gemmPanelF32)(float *c, Index ldc, const float *a,
                          Index lda, const float *b, Index ldb, Index m,
                          Index n, Index k);
+
+    /**
+     * C block of an exact integer GEMM: for i in [0, m), j in [0, n),
+     *   c[i*ldc + j] = sum_{kk < k} (i64)a[i*lda + kk] * b[kk*ldb + j]
+     * overwriting C. Operands and accumulators are i32: the k range
+     * is cut into runs of at most `chunk` terms, each run summed in
+     * i32 and folded into C's i64 element. The caller picks chunk so
+     * no run can overflow i32 — chunk * max|a| * max|b| <= 2^31 - 1,
+     * with the bounds taken from the operands' IntWidth (gemm.cc) —
+     * so the sum is exact for any k, and integer sums are exact in
+     * any order: every table returns the same values, legal in every
+     * tier. The vector tables hold a 4-row tile of i32 accumulators
+     * in registers over each run (AVX-512 4x32, AVX2 4x16; vpmulld,
+     * vpaddd) with masked column tails and a 1..3-row tail; scalar
+     * sweeps one C row at a time in 64-column strips. This is the
+     * micro-kernel under matmulQuantWith's Blocked backend, and so
+     * under every log-domain (eager-prediction) GEMM of images.
+     * @pre chunk >= 1
+     */
+    void (*gemmPanelI32)(i64 *c, Index ldc, const i32 *a, Index lda,
+                         const i32 *b, Index ldb, Index m, Index n,
+                         Index k, Index chunk);
+
+    /**
+     * out[i] = float(double(acc[i]) * scale) for i in [0, n): the
+     * dequantisation every integer GEMM ends with (gemm.h). Exact:
+     * each element rounds exactly as the scalar expression — the
+     * i64 -> double conversion once (a vector table splits it into
+     * two exact halves, hi * 2^32 + lo, so the one rounding is the
+     * final add's), then the double multiply, then the narrowing — so
+     * every table gives the same bits.
+     */
+    void (*dequantizeI64F32)(float *out, const i64 *acc, double scale,
+                             Index n);
+
+    /**
+     * Weighted sum of gathered rows: for j in [0, n),
+     *   out[j] = sum_{t < count} w[t] * v[rows[t]*ldv + j]
+     * overwriting out. Exact: per element the golden chain — a +0.0f
+     * accumulator, t ascending, one rounded multiply then one rounded
+     * add per term, no FMA — so the result equals count axpyF32
+     * sweeps into a zeroed row. The vector tables keep up to 64
+     * columns of accumulators in registers across all count rows
+     * (masked column tails), so out is stored once per element
+     * instead of once per term. Eager prediction's attention x V over
+     * a row's kept positions.
+     */
+    void (*weightedRowSumF32)(float *out, const float *v, Index ldv,
+                              const Index *rows, const float *w,
+                              Index count, Index n);
 
     /**
      * sum_k a[k] * b[k] with reassociated accumulation. Fast tier
@@ -210,6 +261,14 @@ void axpyF32Scalar(float *out, const float *x, float a, Index n);
 void gemmPanelF32Scalar(float *c, Index ldc, const float *a, Index lda,
                         const float *b, Index ldb, Index m, Index n,
                         Index k);
+void gemmPanelI32Scalar(i64 *c, Index ldc, const i32 *a, Index lda,
+                        const i32 *b, Index ldb, Index m, Index n,
+                        Index k, Index chunk);
+void dequantizeI64F32Scalar(float *out, const i64 *acc, double scale,
+                            Index n);
+void weightedRowSumF32Scalar(float *out, const float *v, Index ldv,
+                             const Index *rows, const float *w,
+                             Index count, Index n);
 float dotF32Scalar(const float *a, const float *b, Index n);
 i64 dotI32Scalar(const i32 *a, const i32 *b, Index n);
 u64 absGreaterMask64Scalar(const float *x, float theta, Index n);

@@ -329,6 +329,28 @@ TEST(EpDifferential, SoloMatchesReferenceEverywhere)
     }
 }
 
+TEST(EpDifferential, WideBlockBatchedProjectionMatchesPerHead)
+{
+    // A 256-wide, 8-head block: epAttentionImpl runs all 16 head
+    // projections (Q and K) as one 256 x 512 integer GEMM, and must
+    // match the reference's separate per-head predictHeadScore calls
+    // head by head — every keep mask, the output and the stats.
+    Rng rng(31);
+    const TransformerBlock blk(2, 256, 8, 2, false, rng);
+    for (Index t : {Index{32}, Index{128}}) {
+        Matrix x(t, 256);
+        x.fillNormal(rng, 0.0f, 1.0f);
+        for (LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
+            const EpWeightImages img = epWeightImages(blk, mode);
+            for (SimdTier simd : {SimdTier::Scalar, SimdTier::Exact})
+                for (const EpConfig &ep : kEpConfigs)
+                    expectSoloMatchesReference(blk, x, img, ep, mode,
+                                               false, simd,
+                                               GemmBackend::Blocked);
+        }
+    }
+}
+
 TEST(EpDifferential, CohortMembersMatchReference)
 {
     constexpr Index kMembers = 3;

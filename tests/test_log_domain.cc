@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "exion/common/rng.h"
@@ -164,6 +165,64 @@ TEST(LdMatmul, TwoStepMoreAccurateThanSingle)
     // EP decision needs): strong cosine alignment with the truth.
     EXPECT_GT(cosineSimilarity(exact, ts), 0.95);
     EXPECT_GT(cosineSimilarity(exact, lod), 0.8);
+}
+
+/** ldProduct chain summed in i64, dequantised as ldMatmul does. */
+Matrix
+ldProductOracle(const QuantMatrix &a, const QuantMatrix &b, LodMode mode)
+{
+    Matrix c(a.rows(), b.cols());
+    const double scale = a.scale() * b.scale();
+    for (Index i = 0; i < a.rows(); ++i)
+        for (Index j = 0; j < b.cols(); ++j) {
+            i64 sum = 0;
+            for (Index k = 0; k < a.cols(); ++k)
+                sum += ldProduct(a(i, k), b(k, j), mode);
+            c(i, j) = static_cast<float>(sum * scale);
+        }
+    return c;
+}
+
+TEST(LdMatmul, MatchesLdProductOracleAtFullScaleDModel)
+{
+    // k = 1280, full-scale StableDiffusion's d_model: the integer
+    // image GEMM runs it as three i32 runs (511 + 511 + 258) folded
+    // into i64. Row 0 of A and column 0 of B sit at the INT12 extreme,
+    // so element (0, 0) sums 1280 * 2^22 > 2^31 — past i32 — and must
+    // still equal the oracle byte for byte, at both LOD depths.
+    constexpr Index kDepth = 1280;
+    Rng rng(29);
+    Matrix a(6, kDepth), b(kDepth, 9);
+    a.fillNormal(rng, 0.0f, 1.0f);
+    b.fillNormal(rng, 0.0f, 1.0f);
+    QuantMatrix qa = QuantMatrix::fromFloat(a, IntWidth::Int12);
+    QuantMatrix qb = QuantMatrix::fromFloat(b, IntWidth::Int12);
+    for (Index k = 0; k < kDepth; ++k) {
+        qa.at(0, k) = -2048;
+        qb.at(k, 0) = -2048;
+    }
+    QuantMatrix qbt(qb.cols(), qb.rows(), qb.params());
+    for (Index k = 0; k < kDepth; ++k)
+        for (Index j = 0; j < qb.cols(); ++j)
+            qbt.at(j, k) = qb(k, j);
+    for (const LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
+        SCOPED_TRACE(mode == LodMode::Single ? "single" : "two-step");
+        const Matrix want = ldProductOracle(qa, qb, mode);
+        EXPECT_EQ(want(0, 0),
+                  static_cast<float>(static_cast<double>(kDepth << 22)
+                                     * (qa.scale() * qb.scale())));
+        for (SimdTier tier : {SimdTier::Scalar, SimdTier::Exact}) {
+            const Matrix got = ldMatmul(qa, qb, mode, tier);
+            const Matrix got_t = ldMatmulTransposed(qa, qbt, mode, tier);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  want.size() * sizeof(float)),
+                      0);
+            EXPECT_EQ(std::memcmp(got_t.data().data(), want.data().data(),
+                                  want.size() * sizeof(float)),
+                      0);
+        }
+    }
 }
 
 TEST(LdMatmul, TransposedConsistent)

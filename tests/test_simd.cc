@@ -6,11 +6,12 @@
  * reference table on adversarial inputs: NaN/Inf payloads, signed
  * zeros, lengths that are not a multiple of any vector width, and
  * mask words with ragged tails. Exact-contract entries (axpy, the
- * GEMM panel kernel, compares, integer reductions) must be
- * bit-identical; dotF32 — the Fast tier's reassociated reduction —
- * is tolerance-checked. The log-domain GEMM, which runs outside the
- * tables, is checked exhaustively against an ldProduct triple loop
- * over the full INT12 operand range. On top of the kernels, the
+ * float and integer GEMM panel kernels, the gathered-row sum,
+ * compares, integer reductions) must be bit-identical; dotF32 — the
+ * Fast tier's reassociated reduction — is tolerance-checked. The
+ * log-domain GEMM, an integer GEMM of images over the panel kernel,
+ * is checked exhaustively against an ldProduct triple loop over the
+ * full INT12 operand range. On top of the kernels, the
  * tier plumbing (parse round-trips, table selection, process
  * default) and the Bitmask2D word-level API (words(), andPopcount,
  * writeRowBits, forEachSetBit*) are covered, the latter on 63/64/65
@@ -23,8 +24,10 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exion/common/bitops.h"
 #include "exion/common/rng.h"
 #include "exion/sparsity/log_domain.h"
 #include "exion/tensor/bitmask.h"
@@ -173,6 +176,9 @@ TEST(SimdDispatchTest, TablesArePopulated)
         EXPECT_NE(t->name, nullptr);
         EXPECT_NE(t->axpyF32, nullptr);
         EXPECT_NE(t->gemmPanelF32, nullptr);
+        EXPECT_NE(t->gemmPanelI32, nullptr);
+        EXPECT_NE(t->dequantizeI64F32, nullptr);
+        EXPECT_NE(t->weightedRowSumF32, nullptr);
         EXPECT_NE(t->dotF32, nullptr);
         EXPECT_NE(t->dotI32, nullptr);
         EXPECT_NE(t->absGreaterMask64, nullptr);
@@ -252,6 +258,47 @@ TEST(SimdKernelTest, GemmPanelBitIdenticalToScalar)
     }
 }
 
+/**
+ * The gathered-row sum against the scalar chain: widths on both sides
+ * of every vector and block width (AVX2 32, AVX-512 64 columns), no
+ * rows to many (repeats included), V rows at a padded stride whose
+ * padding is poisoned, adversarial values and weights. out's slots
+ * past n must come back untouched.
+ */
+TEST(SimdKernelTest, WeightedRowSumBitIdenticalToScalar)
+{
+    const Index kWidths[] = {1, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32,
+                             33, 63, 64, 65, 100, 130};
+    const Index kCounts[] = {0, 1, 2, 5, 37};
+    constexpr Index kVRows = 40;
+    Rng rng(16);
+    for (const SimdKernels *table : vectorTables()) {
+        for (Index n : kWidths) {
+            const Index ldv = n + 5;
+            std::vector<float> v = adversarialFloats(kVRows * ldv, rng);
+            for (Index r = 0; r < kVRows; ++r)
+                for (Index j = n; j < ldv; ++j)
+                    v[r * ldv + j] = (r + j) % 2 ? kNan : kInf;
+            for (Index count : kCounts) {
+                std::vector<Index> rows(count);
+                for (Index &r : rows)
+                    r = rng.uniformInt(kVRows);
+                std::vector<float> w = adversarialFloats(count, rng);
+                std::vector<float> ref = adversarialFloats(n + 3, rng);
+                std::vector<float> got = ref;
+                simd::weightedRowSumF32Scalar(ref.data(), v.data(), ldv,
+                                              rows.data(), w.data(),
+                                              count, n);
+                table->weightedRowSumF32(got.data(), v.data(), ldv,
+                                         rows.data(), w.data(), count,
+                                         n);
+                EXPECT_TRUE(bitsEqual(ref, got))
+                    << table->name << " n=" << n << " count=" << count;
+            }
+        }
+    }
+}
+
 TEST(SimdKernelTest, DotF32WithinTolerance)
 {
     // dotF32 is the Fast tier's reassociated reduction: not
@@ -292,6 +339,207 @@ TEST(SimdKernelTest, DotI32Exact)
             EXPECT_EQ(simd::dotI32Scalar(a.data(), b.data(), n),
                       table->dotI32(a.data(), b.data(), n))
                 << table->name << " n=" << n;
+        }
+    }
+}
+
+/** i32 run length of two operands at most `bits` wide, as gemm.cc
+    derives it from their IntWidths. */
+Index
+runLength(int bits_a, int bits_b)
+{
+    const i64 max_a = i64{1} << (bits_a - 1);
+    const i64 max_b = i64{1} << (bits_b - 1);
+    return static_cast<Index>(i64{std::numeric_limits<i32>::max()}
+                              / (max_a * max_b));
+}
+
+/** c = a * b as a plain i64 triple loop (row strides lda/ldb/ldc). */
+void
+naiveGemmI64(std::vector<i64> &c, Index ldc, const std::vector<i32> &a,
+             Index lda, const std::vector<i32> &b, Index ldb, Index m,
+             Index n, Index k)
+{
+    for (Index i = 0; i < m; ++i)
+        for (Index j = 0; j < n; ++j) {
+            i64 sum = 0;
+            for (Index kk = 0; kk < k; ++kk)
+                sum += static_cast<i64>(a[i * lda + kk]) * b[kk * ldb + j];
+            c[i * ldc + j] = sum;
+        }
+}
+
+/** Signed TS-LOD image of v (what ldImage stores). */
+i32
+tsImage(i32 v)
+{
+    const u32 mag = static_cast<u32>(std::abs(static_cast<i64>(v)));
+    const i32 img = static_cast<i32>(tsLodValue(mag));
+    return v < 0 ? -img : img;
+}
+
+/**
+ * The integer panel kernel: the scalar entry against a naive i64
+ * triple loop, every vector table against the scalar entry. Shapes
+ * cover the 4-row tiles and their 1..3-row tails, column counts on
+ * both sides of every vector and tile width, k from empty to past
+ * one i32 run, and operand/output strides wider than the block. The
+ * operands' padding holds values that would overflow the run if
+ * read, and C's padding a sentinel that must come back untouched.
+ * Operands are INT12 values, INT16-width TS-LOD images (run length 1
+ * against each other, 31 against INT12), and the range ends.
+ */
+TEST(SimdKernelTest, GemmPanelI32MatchesNaiveAndScalar)
+{
+    const Index kCols[] = {1, 8, 15, 16, 17, 31, 32, 33, 47, 128, 129};
+    const Index kDepths[] = {0, 1, 3, 64, 70};
+    constexpr i64 kSentinel = 0x5a5a5a5a5a5a5a5aLL;
+    constexpr i32 kPoison = std::numeric_limits<i32>::max();
+    Rng rng(18);
+    /** One operand value of a `bits`-wide domain (images at 16). */
+    const auto value = [&](int bits) {
+        const i32 top = i32{1} << (bits - 1);
+        const double u = rng.uniform();
+        if (u < 0.05)
+            return -top;
+        if (u < 0.10)
+            return top - 1;
+        if (u < 0.15)
+            return 0;
+        const i32 v = static_cast<i32>(rng.uniformInt(2 * top)) - top;
+        return bits == 16 ? tsImage(v) : v;
+    };
+    const auto strided = [&](Index rows, Index width, Index ld,
+                             int bits) {
+        std::vector<i32> v(rows * ld, kPoison);
+        for (Index r = 0; r < rows; ++r)
+            for (Index j = 0; j < width; ++j)
+                v[r * ld + j] = value(bits);
+        return v;
+    };
+    const std::pair<int, int> kWidths[] = {{12, 12}, {12, 16}, {16, 16}};
+    std::vector<const SimdKernels *> tables = vectorTables();
+    tables.insert(tables.begin(), &simd::scalarTable());
+    for (const auto &[bits_a, bits_b] : kWidths) {
+        const Index chunk = runLength(bits_a, bits_b);
+        for (Index m = 0; m <= 9; ++m) {
+            for (Index n : kCols) {
+                for (Index k : kDepths) {
+                    const Index lda = k + 3;
+                    const Index ldb = n + 5;
+                    const Index ldc = n + 7;
+                    const std::vector<i32> a = strided(m, k, lda, bits_a);
+                    const std::vector<i32> b = strided(k, n, ldb, bits_b);
+                    std::vector<i64> want(m * ldc, kSentinel);
+                    naiveGemmI64(want, ldc, a, lda, b, ldb, m, n, k);
+                    for (const SimdKernels *table : tables) {
+                        std::vector<i64> got(m * ldc, kSentinel);
+                        table->gemmPanelI32(got.data(), ldc, a.data(), lda,
+                                            b.data(), ldb, m, n, k,
+                                            chunk);
+                        EXPECT_EQ(want, got)
+                            << table->name << " bits=" << bits_a << "x"
+                            << bits_b << " m=" << m << " n=" << n
+                            << " k=" << k;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernelTest, DequantizeI64MatchesScalar)
+{
+    // Accumulators across the whole i64 range — the ends, both sides
+    // of 2^53 (where the double conversion starts rounding, ties
+    // included) and of every 32-bit split point — against scales
+    // that keep the product finite, overflow float, underflow it,
+    // flip its sign, or are not numbers.
+    std::vector<i64> acc = {0,
+                            1,
+                            -1,
+                            std::numeric_limits<i64>::max(),
+                            std::numeric_limits<i64>::min(),
+                            (i64{1} << 53) + 1,
+                            (i64{1} << 53) + 3,
+                            -((i64{1} << 53) + 1),
+                            (i64{1} << 32) - 1,
+                            i64{1} << 32,
+                            -(i64{1} << 32),
+                            (i64{1} << 31) - 1,
+                            -(i64{1} << 31),
+                            (i64{1} << 62) + 12345};
+    Rng rng(19);
+    for (int i = 0; i < 200; ++i) {
+        const int bits = static_cast<int>(rng.uniformInt(63));
+        const i64 mag = static_cast<i64>(
+            rng.uniformInt(u64{1} << bits) | (u64{1} << bits));
+        acc.push_back(rng.uniform() < 0.5 ? -mag : mag);
+    }
+    const double kScales[] = {1.0, 0.000123, -3.5e-7, 1e30, 1e-60,
+                              kInf, std::nan("")};
+    for (const SimdKernels *table : vectorTables()) {
+        for (Index n : {acc.size(), Index{0}, Index{1}, Index{3},
+                        Index{7}, Index{9}}) {
+            for (double scale : kScales) {
+                std::vector<float> ref(n + 2, -1.0f);
+                std::vector<float> got = ref;
+                simd::dequantizeI64F32Scalar(ref.data(), acc.data(),
+                                             scale, n);
+                table->dequantizeI64F32(got.data(), acc.data(), scale, n);
+                EXPECT_TRUE(bitsEqual(ref, got))
+                    << table->name << " n=" << n << " scale=" << scale;
+            }
+        }
+    }
+}
+
+TEST(SimdKernelTest, GemmPanelI32ExtremesAroundRunLength)
+{
+    // Every product at the INT12 extreme 2048 * 2048 = 2^22: a run of
+    // 511 such terms is the longest that fits in i32, 512 would wrap.
+    // k one below, at and above the run length (and two runs plus
+    // one), with both signs of the product, must all sum exactly.
+    const Index chunk = runLength(12, 12);
+    ASSERT_EQ(chunk, 511u);
+    std::vector<const SimdKernels *> tables = vectorTables();
+    tables.insert(tables.begin(), &simd::scalarTable());
+    for (Index k : {chunk - 1, chunk, chunk + 1, 2 * chunk + 1}) {
+        for (i32 sign : {1, -1}) {
+            const Index m = 5;
+            const Index n = 19;
+            const std::vector<i32> a(m * k, -2048);
+            const std::vector<i32> b(k * n, sign * -2048);
+            const i64 want = sign * static_cast<i64>(k) * (i64{1} << 22);
+            for (const SimdKernels *table : tables) {
+                std::vector<i64> got(m * n, 0);
+                table->gemmPanelI32(got.data(), n, a.data(), k, b.data(),
+                                    n, m, n, k, chunk);
+                for (Index i = 0; i < got.size(); ++i)
+                    ASSERT_EQ(got[i], want)
+                        << table->name << " k=" << k << " sign=" << sign
+                        << " i=" << i;
+            }
+            // And through both GEMM backends at every tier: the
+            // scale 0.5 * 0.5 keeps every dequantised sum exact.
+            QuantParams p{0.5, IntWidth::Int12};
+            QuantMatrix qa(m, k, p), qb(k, n, p);
+            for (Index i = 0; i < m; ++i)
+                for (Index j = 0; j < k; ++j)
+                    qa.at(i, j) = -2048;
+            for (Index i = 0; i < k; ++i)
+                for (Index j = 0; j < n; ++j)
+                    qb.at(i, j) = sign * -2048;
+            for (GemmBackend backend :
+                 {GemmBackend::Reference, GemmBackend::Blocked})
+                for (SimdTier tier : {SimdTier::Scalar, SimdTier::Exact}) {
+                    const Matrix c = matmulQuantWith(qa, qb, backend, tier);
+                    ASSERT_EQ(c.size(), m * n);
+                    for (float v : c.data())
+                        ASSERT_EQ(v, static_cast<float>(want) * 0.25f)
+                            << gemmBackendName(backend) << " "
+                            << simdTierName(tier);
+                }
         }
     }
 }
@@ -689,6 +937,34 @@ TEST(BitmaskWordApiTest, WriteRowBitsStraddlesWords)
                             << " c0=" << c0 << " nb=" << nb
                             << " c=" << c;
                     }
+                }
+            }
+        }
+    }
+}
+
+TEST(BitmaskWordApiTest, RowBitsMatchesGet)
+{
+    // Every (row, start, length) window of a random mask, straddling
+    // word boundaries and ending at the row's last column, reads back
+    // bit for bit with nothing set past the window.
+    Rng rng(20);
+    for (Index cols : kRaggedCols) {
+        Bitmask2D m(3, cols);
+        for (Index r = 0; r < 3; ++r)
+            for (Index c = 0; c < cols; ++c)
+                m.set(r, c, rng.uniform() < 0.5);
+        for (Index r = 0; r < 3; ++r) {
+            for (Index c0 : {Index{0}, Index{1}, Index{60}, cols - 1}) {
+                for (Index nb : {Index{0}, Index{1}, Index{5}, Index{64}}) {
+                    if (c0 + nb > cols)
+                        continue;
+                    const u64 bits = m.rowBits(r, c0, nb);
+                    for (Index i = 0; i < 64; ++i)
+                        EXPECT_EQ((bits >> i) & 1,
+                                  i < nb && m.get(r, c0 + i) ? 1u : 0u)
+                            << "cols=" << cols << " r=" << r
+                            << " c0=" << c0 << " nb=" << nb << " i=" << i;
                 }
             }
         }

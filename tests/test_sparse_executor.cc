@@ -204,5 +204,39 @@ TEST(SparseExecutor, TsLodNotWorseThanLodOnPipeline)
     EXPECT_GT(psnr_ts, 10.0);
 }
 
+TEST(SparseExecutor, BorrowedEpWeightSetMatchesOwnImages)
+{
+    // A set built up front from the network holds every block's
+    // images, equal to a per-block build; an executor borrowing it
+    // runs the same bytes and stats as one building its own.
+    const ModelConfig cfg = makeTinyConfig(8, 32, 2, 12);
+    DiffusionPipeline pipe(cfg);
+    const DenoisingNetwork &net = pipe.network();
+    for (LodMode mode : {LodMode::Single, LodMode::TwoStep}) {
+        const EpWeightSet shared(net, mode);
+        for (Index i = 0; i < net.numBlocks(); ++i) {
+            const EpWeightImages &got = shared.at(net.block(i));
+            const EpWeightImages want = epWeightImages(net.block(i), mode);
+            EXPECT_EQ(got.scales, want.scales);
+            ASSERT_EQ(got.wqk.size(), want.wqk.size());
+            for (Index r = 0; r < want.wqk.rows(); ++r)
+                for (Index c = 0; c < want.wqk.cols(); ++c)
+                    ASSERT_EQ(got.wqk(r, c), want.wqk(r, c));
+        }
+
+        auto opt = SparseExecutor::fromConfig(cfg, true, true, false, mode);
+        SparseExecutor own(opt);
+        opt.epWeights = &shared;
+        SparseExecutor borrowing(opt);
+        const Matrix a = pipe.run(own, 7);
+        const Matrix b = pipe.run(borrowing, 7);
+        EXPECT_EQ(maxAbsDiff(a, b), 0.0);
+        EXPECT_EQ(own.stats().scoreSparsitySum,
+                  borrowing.stats().scoreSparsitySum);
+        EXPECT_EQ(own.stats().attnOpsExecuted,
+                  borrowing.stats().attnOpsExecuted);
+    }
+}
+
 } // namespace
 } // namespace exion
